@@ -87,7 +87,10 @@ object BenchEnv {
   // Output sink
   // --------------------------------------------------------------------
 
-  private val outDir = java.nio.file.Paths.get("/root/repo/bench_results")
+  /** `repro.bench.out`, which the build sets to `bench_results/` at the root
+    * of the checkout; relative to the working directory when run without it.
+    */
+  private val outDir = java.nio.file.Paths.get(sys.props.getOrElse("repro.bench.out", "bench_results"))
 
   def emit(fileName: String, content: String): Unit = {
     java.nio.file.Files.createDirectories(outDir)

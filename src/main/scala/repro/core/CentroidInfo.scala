@@ -5,8 +5,8 @@ package repro.core
   * driver and broadcast — never per point.
   */
 final case class Req(
-    cc: Boolean = false,          // pairwise centroid distances + s(c) = ½·min-other
-    neighbors: Boolean = false,   // per-centroid others sorted by distance (Exponion)
+    cc: Boolean = false,          // pairwise centroid distances (rows built in parallel) + s(c) = ½·min-other
+    neighbors: Boolean = false,   // per-centroid Exponion annuli (rank-doubling shells) over cc
     norms: Boolean = false,       // ‖c_j‖
     sortedNorms: Boolean = false, // centroids sorted by norm (Annular)
     blocks: Boolean = false,      // block norms (Block-Vector)
@@ -94,35 +94,20 @@ object CentroidInfo {
       j += 1
     }
 
-    var cc: Array[Array[Double]] = null
-    var sc: Array[Double] = null
-    var nearestOther: Array[Double] = null
+    val cc = if (req.cc) pairwiseDistances(centroids) else null
+    val nearestOther = if (req.cc) new Array[Double](k) else null
+    val neighbors = if (req.neighbors) new Array[Array[Int]](k) else null
     if (req.cc) {
-      cc = Array.ofDim[Double](k, k)
-      nearestOther = Array.fill(k)(Double.PositiveInfinity)
-      var a = 0
-      while (a < k) {
-        var b = a + 1
-        while (b < k) {
-          val d = Geometry.dist(centroids(a), centroids(b))
-          cc(a)(b) = d; cc(b)(a) = d
-          if (d < nearestOther(a)) nearestOther(a) = d
-          if (d < nearestOther(b)) nearestOther(b) = d
-          b += 1
-        }
-        a += 1
-      }
-      if (k == 1) nearestOther(0) = Double.PositiveInfinity
-      sc = nearestOther.map(_ * 0.5)
-    }
-
-    var neighbors: Array[Array[Int]] = null
-    if (req.neighbors) {
-      neighbors = Array.tabulate(k) { a =>
-        val idx = Array.tabulate(k)(identity)
-        idx.sortBy(cc(a)) // self first at distance 0
+      java.util.stream.IntStream.range(0, k).parallel().forEach { a =>
+        val row = cc(a)
+        var no = Double.PositiveInfinity
+        var b = 0
+        while (b < k) { if (b != a && row(b) < no) no = row(b); b += 1 }
+        nearestOther(a) = no
+        if (neighbors != null) neighbors(a) = annuli(a, row)
       }
     }
+    val sc = if (req.cc) nearestOther.map(_ * 0.5) else null
 
     var norms: Array[Double] = null
     var normSq: Array[Double] = null
@@ -133,8 +118,9 @@ object CentroidInfo {
     var sortedNormIdx: Array[Int] = null
     var sortedNormVal: Array[Double] = null
     if (req.sortedNorms) {
-      sortedNormIdx = Array.tabulate(k)(identity).sortBy(norms)
-      sortedNormVal = sortedNormIdx.map(norms)
+      sortedNormIdx = IndexSort.iota(k)
+      sortedNormVal = norms.clone()
+      IndexSort.sort(sortedNormVal, sortedNormIdx, 0, k - 1)
     }
 
     var blockB1: Array[Double] = null
@@ -161,7 +147,7 @@ object CentroidInfo {
     if (req.candidates) {
       // Eq. 4 (Pami20): cluster j's points only need centroids within 2·ra(j).
       candidates = Array.tabulate(k) { a =>
-        if (radii(a).isInfinity) Array.tabulate(k)(identity)
+        if (radii(a).isInfinity) IndexSort.iota(k)
         else {
           val buf = new scala.collection.mutable.ArrayBuffer[Int](8)
           var b = 0
@@ -188,6 +174,51 @@ object CentroidInfo {
     new CentroidInfo(iter, centroids, drifts, md, mdIdx, md2, cc, sc, nearestOther,
       neighbors, norms, normSq, sortedNormIdx, sortedNormVal, blockB1, blockB2,
       groups, radii, candidates)
+  }
+
+  /** The symmetric k×k centroid distance matrix, rows built in parallel on the
+    * common ForkJoin pool. Row a owns the pairs (a, b > a) and writes both
+    * mirror cells, so every cell is written once, by the same
+    * `Geometry.dist` call a sequential triangle makes: the result is
+    * bit-identical to it.
+    */
+  private def pairwiseDistances(centroids: Array[Array[Double]]): Array[Array[Double]] = {
+    val k = centroids.length
+    val cc = Array.ofDim[Double](k, k)
+    java.util.stream.IntStream.range(0, k).parallel().forEach { a =>
+      var b = a + 1
+      while (b < k) {
+        val d = Geometry.dist(centroids(a), centroids(b))
+        cc(a)(b) = d; cc(b)(a) = d
+        b += 1
+      }
+    }
+    cc
+  }
+
+  /** Exponion annuli of centroid a [Newling & Fleuret, ICML'16]: a permutation
+    * of 0..k−1 with a at position 0 and the other centroids in rank shells
+    * [2^s, 2^(s+1)), every distance `row` gives a shell no smaller than those
+    * of the shells before it. Shells are split off largest first by quickselect,
+    * O(k) expected, and are not sorted inside.
+    */
+  private def annuli(a: Int, row: Array[Double]): Array[Int] = {
+    val k = row.length
+    val idx = new Array[Int](k)
+    val key = new Array[Double](k)
+    idx(0) = a
+    var p = 1
+    var j = 0
+    while (j < k) {
+      if (j != a) { idx(p) = j; key(p) = row(j); p += 1 }
+      j += 1
+    }
+    var b = Integer.highestOneBit(k - 1)
+    while (b >= 2) {
+      IndexSort.select(key, idx, 1, math.min(2 * b, k) - 1, b)
+      b >>= 1
+    }
+    idx
   }
 }
 

@@ -2,8 +2,11 @@ package repro.core
 
 /** Exponion [Newling & Fleuret, ICML'16]: Hamerly's bounds plus, on bound
   * failure, candidates restricted to a ball around the ASSIGNED centroid:
-  * ‖c_j − c_a‖ ≤ 2·ub + ‖c_a − c_a's nearest other‖ (Eq. 6), walked via
-  * per-centroid neighbour lists sorted by inter-centroid distance.
+  * ‖c_j − c_a‖ ≤ 2·ub + ‖c_a − c_a's nearest other‖ (Eq. 6), walked via the
+  * driver's per-centroid Exponion annuli (rank-doubling shells, one row per
+  * centroid, built in parallel): the walk skips centroids outside the ball and
+  * stops at the first shell boundary past it, so it computes exactly the
+  * distances a walk over fully sorted neighbour lists would.
   */
 object ExpoKernel extends Strategy {
   val name = "Expo"
@@ -63,19 +66,24 @@ final class ExpoState(points: Array[Array[Double]], k: Int)
     val ubT = ub(i) // already tightened to the exact distance d(x, c_a)
     val no = info.nearestOther(a)
     val radius = 2.0 * ubT + no
-    val nb = info.neighbors(a) // sorted by cc(a, ·) ascending; nb(0) == a
-    var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-    var z = 0
-    var go = true
-    while (go && z < nb.length) {
+    val nb = info.neighbors(a) // nb(0) == a, then shells [2^s, 2^(s+1)) by cc(a, ·)
+    val cca = info.cc(a)
+    var best = a; var d1 = ubT; var d2 = Double.PositiveInfinity
+    var shellEnd = 2
+    var seenMax = 0.0 // largest cc(a, ·) in the shells walked so far
+    var z = 1
+    // Every later shell lies at or beyond seenMax: stop at a boundary past the ball.
+    while (z < nb.length && !(z == shellEnd && seenMax > radius)) {
+      if (z == shellEnd) shellEnd <<= 1
       val j = nb(z)
-      if (info.cc(a)(j) > radius) go = false
-      else {
-        val dd = if (j == a) { ubT } else cdist(x, cs(j))
+      val c = cca(j)
+      if (c > seenMax) seenMax = c
+      if (c <= radius) {
+        val dd = cdist(x, cs(j))
         if (dd < d1) { d2 = d1; d1 = dd; best = j }
         else if (dd < d2) d2 = dd
-        z += 1
       }
+      z += 1
     }
     // Centroids outside the ball satisfy d(x,c_j) >= ubT + nearestOther(a).
     val outsideLb = ubT + no

@@ -94,7 +94,7 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, val tree: Ball
       }
     }
 
-    if (tree.root != null) rec(tree.root, Array.tabulate(k)(identity))
+    if (tree.root != null) rec(tree.root, IndexSort.iota(k))
     val t1 = System.nanoTime()
     new Partials(sums, counts, null, moved, n.toLong, m.snapshot(), t1 - t0, 0L)
   }

@@ -168,7 +168,7 @@ final class KdKMeansState(points: Array[Array[Double]], k: Int) extends Partitio
       }
     }
 
-    if (tree != null && tree.root != null) rec(tree.root, Array.tabulate(k)(identity))
+    if (tree != null && tree.root != null) rec(tree.root, IndexSort.iota(k))
     val t1 = System.nanoTime()
     new Partials(sums, counts, null, movedThisIter, n.toLong, m.snapshot(), t1 - t0, 0L)
   }

@@ -253,7 +253,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
       rec(nd.right, next, childCarry(nd.right))
     }
 
-    if (tree.root != null) rec(tree.root, Array.tabulate(k)(identity), carry0)
+    if (tree.root != null) rec(tree.root, IndexSort.iota(k), carry0)
   }
 
   /** glb(g) = min( carry(g), min over scanned j∈g, j≠assigned of d(pivot,c_j) ). */

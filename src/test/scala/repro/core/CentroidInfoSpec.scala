@@ -45,12 +45,70 @@ class CentroidInfoSpec extends AnyFunSuite {
     assert(i.maxDrift == 0.0)
   }
 
+  // Annuli leave each rank shell [2^s, 2^(s+1)) unsorted inside, so the list is
+  // sorted by centroid distance once every shell is sorted on its own.
   test("neighbors lists start with self and are sorted by centroid distance") {
     val i = info(Req(neighbors = true))
     cs.indices.foreach { a =>
-      assert(i.neighbors(a)(0) == a)
-      val ds = i.neighbors(a).map(i.cc(a))
-      assert(ds.toSeq == ds.sorted.toSeq)
+      val nb = i.neighbors(a)
+      assert(nb(0) == a)
+      assert(nb.sorted.toSeq == cs.indices)
+      val ds = nb.map(i.cc(a))
+      val bySh = (ds.take(1) +: Iterator.iterate(1)(_ * 2).takeWhile(_ < ds.length)
+        .map(lo => ds.slice(lo, 2 * lo).sorted).toSeq).flatten
+      assert(bySh == ds.sorted.toSeq)
+    }
+  }
+
+  // Exponion's annuli: a permutation of all centroids with self first and the
+  // others in rank shells [2^s, 2^(s+1)), each no closer than the ones before.
+  // Every third centroid duplicates its predecessor, so cc = 0 ties occur.
+  for (k <- Seq(1, 2, 3, 4, 5, 64, 65, 1000)) {
+    test(s"neighbors are Exponion annuli: self first, then ordered rank-doubling shells (k=$k)") {
+      val base = TestData.mixture(k, 3, 6, 0.05, 200L + k)
+      val cents = Array.tabulate(k)(j => if (j % 3 == 1) base(j - 1).clone else base(j))
+      val i = CentroidInfo.compute(1, cents, null, Req(neighbors = true), null, null)
+      for (a <- 0 until k) {
+        val nb = i.neighbors(a)
+        assert(nb.sorted.toSeq == (0 until k), s"row $a is not a permutation")
+        assert(nb(0) == a, s"row $a does not start with itself")
+        var lo = 1
+        while (2 * lo < k) {
+          val shell = (lo until 2 * lo).map(z => i.cc(a)(nb(z)))
+          val next = (2 * lo until math.min(4 * lo, k)).map(z => i.cc(a)(nb(z)))
+          assert(shell.max <= next.min, s"row $a: shell at $lo reaches past the next one")
+          lo *= 2
+        }
+      }
+    }
+  }
+
+  test("parallel cc rows and nearestOther are bit-identical to a sequential triangle") {
+    val cents = TestData.mixture(300, 57, 20, 0.05, 303L)
+    val k = cents.length
+    val cc = Array.ofDim[Double](k, k)
+    val no = Array.fill(k)(Double.PositiveInfinity)
+    for (a <- 0 until k; b <- a + 1 until k) {
+      val d = Geometry.dist(cents(a), cents(b))
+      cc(a)(b) = d; cc(b)(a) = d
+      no(a) = math.min(no(a), d); no(b) = math.min(no(b), d)
+    }
+    val i = CentroidInfo.compute(1, cents, null, Req(cc = true), null, null)
+    for (a <- 0 until k) {
+      assert(i.nearestOther(a) == no(a), s"nearestOther($a)")
+      for (b <- 0 until k) assert(i.cc(a)(b) == cc(a)(b), s"cc($a)($b)")
+    }
+  }
+
+  test("index sort orders (key, index) pairs like a stable sort by key") {
+    val rnd = new scala.util.Random(5L)
+    for (n <- 0 to 70) {
+      val keys = Array.fill(n)(rnd.nextInt(8).toDouble) // many ties
+      val idx = IndexSort.iota(n)
+      val sorted = keys.clone()
+      IndexSort.sort(sorted, idx, 0, n - 1)
+      assert(idx.toSeq == (0 until n).sortBy(keys(_)), s"n=$n")
+      assert(sorted.toSeq == idx.toSeq.map(keys(_)), s"n=$n")
     }
   }
 

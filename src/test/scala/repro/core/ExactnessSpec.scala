@@ -62,4 +62,33 @@ class ExactnessSpec extends AnyFunSuite {
       }
     }
   }
+
+  // Exponion walks each centroid's annuli (rank-doubling shells). Duplicate
+  // centroids tie at cc = 0, so the walk must still start from the assigned
+  // centroid itself.
+  for (k <- Seq(1, 2, 65)) {
+    test(s"Expo matches Lloyd's assignments every iteration with duplicate centroids at k=$k") {
+      val pts = TestData.mixture(400, 4, 10, 0.05, 11L)
+      val base = Init.kmeansPlusPlus(pts, (k + 1) / 2, 12L)
+      val init = Array.tabulate(k)(j => base(j % base.length).clone)
+      for (iters <- 1 to 8) {
+        val (_, ref) = lloydRef(pts, k, init, iters)
+        val state = ExpoKernel.newState(pts, k, 0L)
+        Runner.fitStates(ExpoKernel, Seq(state), ps => ps.head.step(_: CentroidInfo),
+          k, init, iters, 0L)
+        assert(state.assignments.toSeq == ref.toSeq, s"assignments diverge after $iters iterations")
+      }
+    }
+  }
+
+  test("Expo's cumulative distance and bound-access counts are pinned") {
+    val pts = TestData.mixture(2000, 8, 30, 0.05, 21L)
+    val init = Init.kmeansPlusPlus(pts, 100, 22L)
+    val res = Runner.fitLocal(ExpoKernel, pts, 100, init, maxIters = 15)
+    // Pinned from a walk over fully sorted neighbour lists: the annuli walk
+    // must compute exactly the same distances.
+    assert(res.iterations == 14)
+    assert(res.metrics.dist == 247812L)
+    assert(res.metrics.boundAccess == 52000L)
+  }
 }
