@@ -49,7 +49,7 @@ object Table3Job {
 
 /** Table 6 (one cell): speedups of SEQU/INDE/UniK over Lloyd on a dataset,
   * run through the DISTRIBUTED SparkKMeans engine (mapPartitions kernels +
-  * reduceByKey refinement). Usage: Table6Job [dataset] [k] [partitions]
+  * `reduce` of per-partition partials). Usage: Table6Job [dataset] [k] [partitions]
   */
 object Table6Job {
   def main(args: Array[String]): Unit = {

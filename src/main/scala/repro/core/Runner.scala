@@ -32,11 +32,14 @@ final case class FitResult(
   }
 }
 
-/** Single-process driver loop: exactly what the Spark runner does, but with
-  * one in-memory partition. The kernels are identical — this is the
-  * "mapPartitions kernel" run on the whole dataset, which keeps the timed
-  * benches free of scheduler noise while `repro.spark.SparkKMeans` provides
-  * the distributed execution path.
+/** The k-means driver: the one iteration loop every execution path runs.
+  * Each iteration computes the centroid-side `CentroidInfo` (drifts, groups,
+  * radii, ...), hands it to a step that runs assignment and refinement over
+  * all partition states and returns their merged `Partials`, and turns the
+  * merged sums into the next centroids, until no point moves or `maxIters`.
+  * `fitLocal` steps one in-memory partition, which keeps the timed benches
+  * free of scheduler noise; `repro.spark.SparkKMeans` steps cached partition
+  * states on executors.
   */
 object Runner {
 
@@ -47,17 +50,33 @@ object Runner {
     fitStates(strategy, Seq(state), ps => ps.head.step(_: CentroidInfo), k, init, maxIters, seed)
   }
 
-  /** Generic driver over any collection of partition states with a supplied
-    * step+merge evaluator (the Spark runner passes a distributed one).
+  /** Driver over any collection of partition states with a supplied
+    * step+merge evaluator.
     */
   def fitStates(strategy: Strategy,
                 states: Seq[PartitionState],
                 mkStep: Seq[PartitionState] => CentroidInfo => Partials,
                 k: Int, init: Array[Array[Double]], maxIters: Int,
-                seed: Long): FitResult = {
+                seed: Long): FitResult =
+    fit(strategy, mkStep(states), cs => states.map(_.finalSse(cs)).sum, k, init, maxIters, seed)
+
+  /** Fails unless `init` holds `k` centroids of one dimension. */
+  def requireInit(init: Array[Array[Double]], k: Int): Unit = {
     require(init.length == k, s"init has ${init.length} centroids, expected $k")
+    require(init.forall(_.length == init(0).length), "init centroids differ in dimension")
+  }
+
+  /** The iteration loop. `step` runs one assignment+refinement over every
+    * partition and returns the merged `Partials`; `sse` is the exact SSE
+    * of all partitions under the final centroids (untimed).
+    */
+  def fit(strategy: Strategy,
+          step: CentroidInfo => Partials,
+          sse: Array[Array[Double]] => Double,
+          k: Int, init: Array[Array[Double]], maxIters: Int,
+          seed: Long): FitResult = {
+    requireInit(init, k)
     val req = strategy.req.normalized
-    val stepFn = mkStep(states)
 
     val grouper = if (req.groups) new Grouper(seed ^ 0x9e3779b97f4a7c15L) else null
     var centroids = Geometry.copy2(init)
@@ -77,7 +96,7 @@ object Runner {
     while (t <= maxIters && !converged) {
       val gi = if (grouper != null) grouper.update(centroids, t, req.regroup) else null
       val info = CentroidInfo.compute(t, centroids, prev, req, gi, radii)
-      val p = stepFn(info)
+      val p = step(info)
       assignNs += p.assignNanos; refineNs += p.refineNanos; moved += p.moved
       metrics = p.metrics
       if (t == 1) { metricsIter1 = p.metrics; nTotal = p.n }
@@ -97,9 +116,8 @@ object Runner {
       t += 1
     }
     val totalNanos = System.nanoTime() - t0
-    val sse = states.map(_.finalSse(centroids)).sum
 
     FitResult(strategy.name, k, centroids, t - 1, converged, metrics, metricsIter1,
-      assignNs.toArray, refineNs.toArray, moved.toArray, totalNanos, sse, nTotal)
+      assignNs.toArray, refineNs.toArray, moved.toArray, totalNanos, sse(centroids), nTotal)
   }
 }

@@ -1,18 +1,20 @@
 package repro.spark
 
+import scala.reflect.ClassTag
+
+import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.core._
 
-/** Distributed execution of any registered kernel: points are partitioned
-  * and cached once; each partition owns a kernel state (its slice of the
-  * data plus all per-point bounds / the per-partition ball-tree); every
-  * iteration ships the broadcast `CentroidInfo` to the states via a single
-  * `flatMap` whose output — `(clusterId, partial sum/count)` pairs plus one
-  * global stats record — is merged with `reduceByKey`. The driver then
-  * refines centroids, recomputes drifts/groups, and repeats: exactly the
-  * architecture described in the reproduction brief.
+/** Distributed execution of any registered kernel on `Runner`'s driver loop:
+  * points are partitioned and cached once; each partition owns a kernel
+  * state (its slice of the data plus all per-point bounds / the
+  * per-partition ball-tree). Each iteration's step broadcasts the
+  * `CentroidInfo`, runs every state's `step` and merges the per-partition
+  * `Partials` on the driver, in partition order.
   *
   * Partition states are mutated across iterations inside the cached RDD;
   * with `local[*]` and MEMORY_ONLY storage this is the standard iterative-ML
@@ -20,110 +22,32 @@ import repro.core._
   */
 object SparkKMeans {
 
-  /** Aggregation value: either one cluster's partial or the global stats. */
-  private sealed trait Agg extends Serializable {
-    def merge(o: Agg): Agg
-  }
-  private final case class ClusterAgg(sum: Array[Double], count: Long, maxUb: Double) extends Agg {
-    def merge(o: Agg): Agg = {
-      val c = o.asInstanceOf[ClusterAgg]
-      val s = sum.clone(); Geometry.addTo(s, c.sum)
-      ClusterAgg(s, count + c.count, math.max(maxUb, c.maxUb))
-    }
-  }
-  private final case class GlobalAgg(moved: Long, n: Long, metrics: Metrics,
-                                     assignNanos: Long, refineNanos: Long) extends Agg {
-    def merge(o: Agg): Agg = {
-      val g = o.asInstanceOf[GlobalAgg]
-      val m = metrics.snapshot(); m.add(g.metrics)
-      GlobalAgg(moved + g.moved, n + g.n, m,
-        math.max(assignNanos, g.assignNanos), math.max(refineNanos, g.refineNanos))
-    }
-  }
-
   def fit(spark: SparkSession, points: RDD[Array[Double]], strategy: Strategy, k: Int,
           init: Array[Array[Double]], maxIters: Int = 10, numPartitions: Int = 4,
           seed: Long = 17L): FitResult = {
+    Runner.requireInit(init, k)
     val sc = spark.sparkContext
-    val req = strategy.req.normalized
-    val hasRadii = req.radii
-    val bStrategy = sc.broadcast(strategy)
-
-    val states = points
-      .repartition(numPartitions)
-      .mapPartitionsWithIndex { (pid, it) =>
-        Iterator.single(bStrategy.value.newState(it.toArray, k, seed ^ pid))
-      }
-      .persist(StorageLevel.MEMORY_ONLY)
-    states.count() // materialize before timing
-
-    val grouper = if (req.groups) new Grouper(seed ^ 0x9e3779b97f4a7c15L) else null
-    var centroids = Geometry.copy2(init)
-    var prev: Array[Array[Double]] = null
-    var radii: Array[Double] = null
-
-    val assignNs = new scala.collection.mutable.ArrayBuffer[Long]
-    val refineNs = new scala.collection.mutable.ArrayBuffer[Long]
-    val movedPer = new scala.collection.mutable.ArrayBuffer[Long]
-    var metrics = new Metrics
-    var metricsIter1 = new Metrics
-    var nTotal = 0L
-    var converged = false
-    val t0 = System.nanoTime()
-
-    var t = 1
-    while (t <= maxIters && !converged) {
-      val gi = if (grouper != null) grouper.update(centroids, t, req.regroup) else null
-      val info = CentroidInfo.compute(t, centroids, prev, req, gi, radii)
-      val bInfo = sc.broadcast(info)
-
-      val merged: Map[Int, Agg] = states
-        .flatMap { st =>
-          val p = st.step(bInfo.value)
-          val clusterIt = (0 until k).iterator.map { j =>
-            (j, ClusterAgg(p.sums(j), p.counts(j),
-              if (p.maxUb == null) 0.0 else p.maxUb(j)): Agg)
-          }
-          val globalIt = Iterator.single(
-            (-1, GlobalAgg(p.moved, p.n, p.metrics, p.assignNanos, p.refineNanos): Agg))
-          clusterIt ++ globalIt
+    withBroadcast(sc, strategy) { bStrategy =>
+      val states = points
+        .repartition(numPartitions)
+        .mapPartitionsWithIndex { (pid, it) =>
+          Iterator.single(bStrategy.value.newState(it.toArray, k, seed ^ pid))
         }
-        .reduceByKey(_ merge _)
-        .collect()
-        .toMap
-
-      val g = merged(-1).asInstanceOf[GlobalAgg]
-      assignNs += g.assignNanos; refineNs += g.refineNanos; movedPer += g.moved
-      metrics = g.metrics
-      if (t == 1) { metricsIter1 = g.metrics; nTotal = g.n }
-      radii =
-        if (!hasRadii) null
-        else Array.tabulate(k)(j => merged(j).asInstanceOf[ClusterAgg].maxUb)
-
-      val next = Array.tabulate(k) { j =>
-        val ca = merged(j).asInstanceOf[ClusterAgg]
-        if (ca.count == 0) centroids(j).clone
-        else {
-          val v = ca.sum.clone()
-          var z = 0
-          while (z < v.length) { v(z) /= ca.count; z += 1 }
-          v
-        }
-      }
-      prev = centroids
-      centroids = next
-      if (g.moved == 0) converged = true
-      bInfo.destroy()
-      t += 1
+        .persist(StorageLevel.MEMORY_ONLY)
+      try {
+        states.count() // materialize before timing
+        Runner.fit(strategy,
+          info => withBroadcast(sc, info)(b => states.map(_.step(b.value)).collect().reduce(_ merge _)),
+          cs => withBroadcast(sc, cs)(b => states.map(_.finalSse(b.value)).sum()),
+          k, init, maxIters, seed)
+      } finally states.unpersist(blocking = true)
     }
-    val totalNanos = System.nanoTime() - t0
+  }
 
-    val bFinal = sc.broadcast(centroids)
-    val sse = states.map(_.finalSse(bFinal.value)).sum()
-    states.unpersist(blocking = true)
-
-    FitResult(strategy.name, k, centroids, t - 1, converged, metrics, metricsIter1,
-      assignNs.toArray, refineNs.toArray, movedPer.toArray, totalNanos, sse, nTotal)
+  /** Runs `f` on a broadcast of `v` and destroys the broadcast afterwards. */
+  private def withBroadcast[T: ClassTag, R](sc: SparkContext, v: T)(f: Broadcast[T] => R): R = {
+    val b = sc.broadcast(v)
+    try f(b) finally b.destroy()
   }
 
   /** DataFrame → RDD[Array[Double]] for a `features: array<double>` column. */

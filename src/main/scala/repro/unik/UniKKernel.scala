@@ -1,7 +1,7 @@
 package repro.unik
 
 import repro.core._
-import repro.index.{BallNode, BallTree}
+import repro.index.{BallNode, BallTree, CandidateFilter}
 
 /** UniK (Section 5): index nodes and points flow through ONE pruning
   * pipeline. An object o (node with radius r, or point with r = 0) carries
@@ -49,12 +49,12 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
   private val d = if (n == 0) 0 else points(0).length
   private val assign = Array.fill(n)(-1)
   val m = new Metrics
+  private val filter = new CandidateFilter(points, k, tree, assign, m)
 
   private var t = 0 // #groups, fixed after iteration 1
   // Persistent bounds, indexed by node id / point index.
   private var nodeUb: Array[Double] = null
   private var nodeGlb: Array[Double] = null  // nodeCount × t
-  private var nodeCluster: Array[Int] = null // -1: not a tracked object
   private var ptUb: Array[Double] = null
   private var ptGlb: Array[Double] = null    // n × t
   private val nodesById = new Array[BallNode](math.max(1, tree.nodeCount))
@@ -94,7 +94,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
       t = info.groups.nGroups
       nodeUb = new Array[Double](tree.nodeCount)
       nodeGlb = new Array[Double](tree.nodeCount * t)
-      nodeCluster = Array.fill(tree.nodeCount)(-1)
       ptUb = new Array[Double](n)
       ptGlb = new Array[Double](n * t)
       lists = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
@@ -133,145 +132,73 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
   }
 
   // ------------------------------------------------------------------
-  // Root traversal: candidate filtering + (on iteration 1) bound seeding.
+  // Root pass: the shared candidate-filtering traversal, seeding bounds and
+  // object lists on iteration 1 (only a cluster pass reads them).
   // ------------------------------------------------------------------
   private def rootTraversal(info: CentroidInfo): Unit = {
-    val cs = info.centroids
-    val gi = info.groups
-    val seed = info.iter == 1 // bounds/lists only needed before a cluster pass
+    val seed = info.iter == 1
     var j = 0
     while (j < k) {
       java.util.Arrays.fill(sums(j), 0.0); counts(j) = 0
       if (seed) lists(j).clear()
       j += 1
     }
-
-    val carry0 = Array.fill(t)(Double.PositiveInfinity)
-
-    def rec(nd: BallNode, cand: Array[Int], carry: Array[Double]): Unit = {
-      m.nodeAccess += 1
-      val dBuf = new Array[Double](cand.length)
-      var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-      var c = 0
-      while (c < cand.length) {
-        m.dist += 1
-        val dd = Geometry.dist(nd.pivot, cs(cand(c)))
-        dBuf(c) = dd
-        if (dd < d1) { d2 = d1; d1 = dd; best = cand(c) }
-        else if (dd < d2) d2 = dd
-        c += 1
-      }
-      val thr = d1 + 2.0 * nd.radius
-      var kept = 0
-      c = 0
-      while (c < cand.length) { if (dBuf(c) <= thr) kept += 1; c += 1 }
-
-      if (kept == 1) {
-        // whole node assigned to `best`
-        bulkAssign(nd, best)
-        Geometry.addTo(sums(best), nd.sv); counts(best) += nd.num
-        if (seed) {
-          nodeUb(nd.id) = d1
-          seedGroupBounds(nodeGlb, nd.id * t, cand, dBuf, carry, best, gi)
-          nodeCluster(nd.id) = best
-          lists(best) += (nd.id + 1)
-        }
-        return
-      }
-
-      val next = new Array[Int](kept)
-      val nextD = new Array[Double](kept)
-      var w = 0
-      c = 0
-      while (c < cand.length) {
-        if (dBuf(c) <= thr) { next(w) = cand(c); nextD(w) = dBuf(c); w += 1 }
-        c += 1
-      }
-
-      if (nd.isLeaf) {
-        var z = nd.start
-        while (z < nd.end) {
-          val i = tree.perm(z)
-          val x = points(i)
-          val pBuf = new Array[Double](next.length)
-          var bj = next(0); var pd1 = Double.PositiveInfinity
-          var c2 = 0
-          while (c2 < next.length) {
-            m.dist += 1; m.pointAccess += 1
-            val dd = Geometry.dist(x, cs(next(c2)))
-            pBuf(c2) = dd
-            if (dd < pd1) { pd1 = dd; bj = next(c2) }
-            c2 += 1
-          }
-          if (assign(i) != bj) { assign(i) = bj; moved += 1 }
-          Geometry.addTo(sums(bj), x); counts(bj) += 1
-          if (seed) {
-            ptUb(i) = pd1
-            // Carry degrades from the leaf pivot to the point by the point's
-            // own pivot distance ψ_x = pointPsi(i) (Eq. 12 with r = 0).
-            val carryHere = new Array[Double](t)
-            var g = 0
-            while (g < t) { carryHere(g) = carry(g) - tree.pointPsi(i); g += 1 }
-            // dropped candidates at THIS node: bound via their pivot dists
-            c2 = 0
-            while (c2 < cand.length) {
-              if (dBuf(c2) > thr) {
-                val g2 = gi.of(cand(c2))
-                val v = dBuf(c2) - tree.pointPsi(i)
-                if (v < carryHere(g2)) carryHere(g2) = v
-              }
-              c2 += 1
-            }
-            seedGroupBounds(ptGlb, i * t, next, pBuf, carryHere, bj, gi)
-            lists(bj) += -(i + 1)
-          }
-          z += 1
-        }
-        return
-      }
-
-      // internal node: recurse with per-child degraded carry
-      val droppedMin = Array.fill(t)(Double.PositiveInfinity)
-      c = 0
-      while (c < cand.length) {
-        if (dBuf(c) > thr) {
-          val g2 = gi.of(cand(c))
-          if (dBuf(c) < droppedMin(g2)) droppedMin(g2) = dBuf(c)
-        }
-        c += 1
-      }
-      def childCarry(child: BallNode): Array[Double] = {
-        val out = new Array[Double](t)
-        var g = 0
-        while (g < t) {
-          out(g) = math.min(carry(g), droppedMin(g)) - child.psi
-          g += 1
-        }
-        out
-      }
-      rec(nd.left, next, childCarry(nd.left))
-      rec(nd.right, next, childCarry(nd.right))
-    }
-
-    if (tree.root != null) rec(tree.root, IndexSort.iota(k), carry0)
+    moved += filter.run(info.centroids, sums, counts,
+      if (seed && tree.root != null) new Seeding(info.groups) else null)
   }
 
-  /** glb(g) = min( carry(g), min over scanned j∈g, j≠assigned of d(pivot,c_j) ). */
-  private def seedGroupBounds(store: Array[Double], base: Int, cand: Array[Int],
-                              dBuf: Array[Double], carry: Array[Double], assigned: Int,
-                              gi: GroupInfo): Unit = {
-    var g = 0
-    while (g < t) { store(base + g) = carry(g); g += 1 }
-    var c = 0
-    while (c < cand.length) {
-      val j = cand(c)
-      if (j != assigned) {
-        val g2 = gi.of(j)
-        if (dBuf(c) < store(base + g2)) store(base + g2) = dBuf(c)
+  /** Seeds nodeUb/ptUb, the group lower bounds and the object lists from the
+    * root pass. Before a node is filtered, its `nodeGlb` slots hold its
+    * carry: per group, the least pivot distance of a candidate an ancestor
+    * dropped, degraded by ψ on the way down (Eq. 12). Nodes that are split
+    * never become tracked objects, so their slots are free for this.
+    */
+  private final class Seeding(gi: GroupInfo) extends CandidateFilter.Seeder {
+    java.util.Arrays.fill(nodeGlb, tree.root.id * t, tree.root.id * t + t, Double.PositiveInfinity)
+
+    def node(nd: BallNode, cand: Array[Int], dist: Array[Double], best: Int, d1: Double): Unit = {
+      nodeUb(nd.id) = d1
+      var c = 0
+      while (c < cand.length) {
+        if (cand(c) != best) lower(nodeGlb, nd.id * t, cand(c), dist(c))
+        c += 1
       }
-      c += 1
+      m.boundUpdate += t
+      lists(best) += (nd.id + 1)
     }
-    m.boundUpdate += t
+
+    def split(nd: BallNode, cand: Array[Int], dist: Array[Double], thr: Double): Unit = {
+      var c = 0
+      while (c < cand.length) {
+        if (dist(c) > thr) lower(nodeGlb, nd.id * t, cand(c), dist(c))
+        c += 1
+      }
+      if (!nd.isLeaf) { carry(nd, nd.left); carry(nd, nd.right) }
+    }
+
+    private def carry(nd: BallNode, child: BallNode): Unit = {
+      var g = 0
+      while (g < t) { nodeGlb(child.id * t + g) = nodeGlb(nd.id * t + g) - child.psi; g += 1 }
+    }
+
+    def point(i: Int, leaf: BallNode, kept: Array[Int], distSq: Array[Double], b: Int): Unit = {
+      // the leaf's carry degrades to the point by its own ψ (Eq. 12, r = 0)
+      var g = 0
+      while (g < t) { ptGlb(i * t + g) = nodeGlb(leaf.id * t + g) - tree.pointPsi(i); g += 1 }
+      var c = 0
+      while (c < kept.length) {
+        if (c != b) lower(ptGlb, i * t, kept(c), math.sqrt(distSq(c)))
+        c += 1
+      }
+      ptUb(i) = math.sqrt(distSq(b))
+      m.boundUpdate += t
+      lists(kept(b)) += -(i + 1)
+    }
+
+    private def lower(store: Array[Double], base: Int, j: Int, v: Double): Unit = {
+      val at = base + gi.of(j)
+      if (v < store(at)) store(at) = v
+    }
   }
 
   // ------------------------------------------------------------------
@@ -371,7 +298,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
 
     if (isNode && d2 - d1 < 2.0 * r) {
       // Eq. 9 failed: split the node, children inherit bounds via ψ (Eq. 12)
-      nodeCluster(nd.id) = -1
       pushOp(nd.sv, nd.num, cl, -1, isPoint = false) // remove node sv from cl
       if (nd.isLeaf) {
         var z = nd.start
@@ -393,7 +319,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
           var g3 = 0
           while (g3 < t) { nodeGlb(child.id * t + g3) = bounds(base + g3) - child.psi; g3 += 1 }
           m.boundUpdate += t + 1
-          nodeCluster(child.id) = cl
           pushOp(child.sv, child.num, -1, cl, isPoint = false)
           stack += (child.id + 1)
         }
@@ -407,8 +332,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
     if (best != cl) {
       if (isNode) {
         pushOp(nd.sv, nd.num, cl, best, isPoint = false)
-        bulkAssign(nd, best)
-        nodeCluster(nd.id) = best
+        moved += CandidateFilter.assignNode(tree, assign, nd, best)
       } else {
         pushOp(points(pi), 1, cl, best, isPoint = true)
         if (assign(pi) != best) { assign(pi) = best; moved += 1 }
@@ -435,15 +359,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
     if (isNode) { nodeUb(nd.id) = d1 } else { ptUb(pi) = d1 }
     m.boundUpdate += 1
     newLists(best) += obj
-  }
-
-  private def bulkAssign(nd: BallNode, j: Int): Unit = {
-    var z = nd.start
-    while (z < nd.end) {
-      val i = tree.perm(z)
-      if (assign(i) != j) { assign(i) = j; moved += 1 }
-      z += 1
-    }
   }
 
   private def pushOp(vec: Array[Double], num: Long, from: Int, to: Int, isPoint: Boolean): Unit = {

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.KdKMeans
+import repro.index.{BallKMeansStrategy, BallTree, KdKMeans}
 import repro.unik.{UniKMode, UniKStrategy}
 
 /** Degenerate inputs every kernel must survive: k=1, k close to n,
@@ -12,7 +12,8 @@ class EdgeCaseSpec extends AnyFunSuite {
   private val strategies: Seq[Strategy] =
     Strategies.sequential ++ Seq(Strategies.index, KdKMeans, Strategies.full,
       new UniKStrategy(UniKMode.Adaptive), new UniKStrategy(UniKMode.Single),
-      new UniKStrategy(UniKMode.Multiple))
+      new UniKStrategy(UniKMode.Multiple)) ++
+      Seq(BallTree.HKT, BallTree.MTree, BallTree.Cover).map(new BallKMeansStrategy(_))
 
   private def sseOf(s: Strategy, pts: Array[Array[Double]], k: Int, seed: Long): FitResult = {
     val init = Init.kmeansPlusPlus(pts, k, seed)
@@ -42,6 +43,19 @@ class EdgeCaseSpec extends AnyFunSuite {
       assert(math.abs(res.sse - ref.sse) / math.max(ref.sse, 1e-9) < 1e-6)
     }
 
+    test(s"${s.name} merges a partition over no points") {
+      val pts = TestData.mixture(120, 3, 4, 0.05, 7L)
+      val init = Init.kmeansPlusPlus(pts, 5, 9L)
+      val states = Seq(s.newState(Array.empty, 5, 17L), s.newState(pts, 5, 17L))
+      val res = Runner.fitStates(s, states, ps => info => ps.map(_.step(info)).reduce(_ merge _),
+        5, init, 10, 17L)
+      val ref = Runner.fitLocal(s, pts, 5, init, maxIters = 10)
+      assert(res.iterations == ref.iterations)
+      // within 1e-9, not equal: adaptive UniK picks its traversal by timing
+      for ((a, b) <- res.centroids.zip(ref.centroids); z <- a.indices)
+        assert(math.abs(a(z) - b(z)) < 1e-9, s"${a.toSeq} vs ${b.toSeq}")
+    }
+
     test(s"${s.name} converges early on trivially separated data") {
       val pts = (0 until 60).map { i =>
         val c = i % 3
@@ -51,5 +65,20 @@ class EdgeCaseSpec extends AnyFunSuite {
       assert(res.converged, "should reach a fixed point within 10 iterations")
       assert(res.iterations < 10)
     }
+  }
+
+  test("Partials.merge drops a side over no points") {
+    def partials(n: Long, sums: Array[Array[Double]]) = {
+      val m = new Metrics; m.dist = n
+      new Partials(sums, Array.fill(sums.length)(n), null, n, n, m, n, 0L)
+    }
+    val full = partials(3L, Array(Array(1.0, 2.0), Array(3.0, 4.0)))
+    val empty = partials(0L, Array(Array(0.0), Array(0.0)))
+    for (merged <- Seq(empty merge full, full merge empty)) {
+      assert(merged.sums.map(_.toSeq).toSeq == Seq(Seq(1.0, 2.0), Seq(3.0, 4.0)))
+      assert(merged.counts.toSeq == Seq(3L, 3L) && merged.n == 3L && merged.metrics.dist == 3L)
+    }
+    val twice = full merge full
+    assert(twice.sums.map(_.toSeq).toSeq == Seq(Seq(2.0, 4.0), Seq(6.0, 8.0)) && twice.n == 6L)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.KdKMeans
+import repro.index.{BallKMeansStrategy, BallTree, KdKMeans}
 import repro.unik.{UniKMode, UniKStrategy}
 
 /** The paper's central invariant: every accelerated method is an EXACT
@@ -28,7 +28,8 @@ class ExactnessSpec extends AnyFunSuite {
     Strategies.sequential ++ Seq(
       Strategies.index, KdKMeans, Strategies.full,
       new UniKStrategy(UniKMode.Adaptive), new UniKStrategy(UniKMode.Single),
-      new UniKStrategy(UniKMode.Multiple))
+      new UniKStrategy(UniKMode.Multiple)) ++
+      Seq(BallTree.HKT, BallTree.MTree, BallTree.Cover).map(new BallKMeansStrategy(_))
 
   private def lloydRef(pts: Array[Array[Double]], k: Int,
                        init: Array[Array[Double]], iters: Int) = {
@@ -90,5 +91,22 @@ class ExactnessSpec extends AnyFunSuite {
     assert(res.iterations == 14)
     assert(res.metrics.dist == 247812L)
     assert(res.metrics.boundAccess == 52000L)
+  }
+
+  // INDE and UniK's root passes run the same candidate-filtering traversal;
+  // UniK seeds its bounds on iteration 1 only.
+  for ((s, dist, point, node, bound, boundUpd) <- Seq(
+      (Strategies.index, 692312L, 497558L, 3318L, 0L, 0L),
+      (Strategies.unikMultiple, 692312L, 497558L, 3318L, 0L, 20000L),
+      (Strategies.unikSingle, 168046L, 154260L, 265L, 373180L, 323574L))) {
+    test(s"${s.name}'s cumulative counters are pinned") {
+      val pts = TestData.mixture(2000, 8, 30, 0.05, 21L)
+      val init = Init.kmeansPlusPlus(pts, 100, 22L)
+      val res = Runner.fitLocal(s, pts, 100, init, maxIters = 15)
+      assert(res.iterations == 14 && res.converged)
+      val m = res.metrics
+      assert((m.dist, m.pointAccess, m.nodeAccess, m.boundAccess, m.boundUpdate) ==
+        ((dist, point, node, bound, boundUpd)))
+    }
   }
 }

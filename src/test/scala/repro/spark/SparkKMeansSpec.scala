@@ -2,8 +2,8 @@ package repro.spark
 
 import repro.core._
 import repro.data.Datasets
+import repro.index.{BallKMeansStrategy, BallTree}
 import repro.{Oracle, SparkSpec}
-import repro.unik.UniKStrategy
 
 /** The distributed path must agree with the single-partition path, and the
   * Catalyst refinement must agree with DuckDB.
@@ -19,25 +19,73 @@ class SparkKMeansSpec extends SparkSpec {
     SparkKMeans.fit(spark, rdd, s, k, init, maxIters = 8, numPartitions = parts)
   }
 
-  for (s <- Seq[Strategy](LloydKernel, YinyangKernel, HameKernel, Pami20Kernel,
-    Strategies.index, UniKStrategy.default)) {
+  private def assertSameFit(dist: FitResult, local: FitResult): Unit = {
+    val what = s"${dist.strategy} (n=${local.n})"
+    assert(dist.iterations == local.iterations, what)
+    assert(dist.converged == local.converged, what)
+    assert(dist.movedPerIter.toSeq == local.movedPerIter.toSeq, what)
+    for ((a, b) <- dist.centroids.zip(local.centroids); z <- a.indices)
+      assert(math.abs(a(z) - b(z)) < 1e-9, s"$what centroid ${a.toSeq} vs ${b.toSeq}")
+  }
+
+  private val strategies: Seq[Strategy] =
+    Strategies.byName.toSeq.sortBy(_._1).map(_._2) ++
+      Seq(BallTree.HKT, BallTree.MTree, BallTree.Cover).map(new BallKMeansStrategy(_))
+
+  for (s <- strategies) {
     test(s"Spark ${s.name} over 4 partitions equals the local runner") {
       val local = Runner.fitLocal(s, pts, k, init, maxIters = 8)
       val dist = sparkFit(s, 4)
       val rel = math.abs(dist.sse - local.sse) / math.max(local.sse, 1e-12)
       assert(rel < 1e-6, s"sse ${dist.sse} vs ${local.sse}")
-      assert(dist.iterations == local.iterations)
-      // distance-computation counts may differ slightly for index methods
-      // (per-partition trees) but sequential bounds are per-point: identical
-      if (s.isInstanceOf[LloydKernel.type]) assert(dist.metrics.dist == local.metrics.dist)
+      assertSameFit(dist, local)
+      // distance-computation counts may differ for index methods
+      // (per-partition trees) but Lloyd computes all n·k: identical
+      if (s eq LloydKernel) assert(dist.metrics.dist == local.metrics.dist)
     }
   }
 
-  test("Spark Lloyd with a single partition reproduces local counters exactly") {
+  test("Spark Yinyang with a single partition reproduces local counters exactly") {
     val local = Runner.fitLocal(YinyangKernel, pts, k, init, maxIters = 8)
     val dist = sparkFit(YinyangKernel, 1)
     assert(dist.metrics.dist == local.metrics.dist)
     assert(dist.metrics.boundAccess == local.metrics.boundAccess)
+  }
+
+  // Fewer points than partitions, or too few to fill them: some states are
+  // built over no points at all.
+  for ((n, parts) <- Seq((3, 4), (5, 4), (5, 8), (12, 8))) {
+    test(s"Spark fits with empty partitions (n=$n over $parts) equal the local runner") {
+      val few = pts.take(n)
+      val init2 = Init.kmeansPlusPlus(few, 2, 83L)
+      val rdd = spark.sparkContext.parallelize(few.toSeq, parts)
+      for (s <- strategies) {
+        val local = Runner.fitLocal(s, few, 2, init2, maxIters = 8)
+        assertSameFit(SparkKMeans.fit(spark, rdd, s, 2, init2, maxIters = 8, numPartitions = parts), local)
+      }
+    }
+  }
+
+  test("a failed fit and a bad init leave no cached RDD behind") {
+    val sc = spark.sparkContext
+    val rdd = sc.parallelize(pts.toSeq, 4)
+    val before = sc.getPersistentRDDs.keySet
+    intercept[Exception](SparkKMeans.fit(spark, rdd, SparkKMeansSpec.FailingKernel, k, init))
+    assert(sc.getPersistentRDDs.keySet == before)
+    intercept[IllegalArgumentException](SparkKMeans.fit(spark, rdd, LloydKernel, k, init.take(k - 1)))
+    intercept[IllegalArgumentException](
+      SparkKMeans.fit(spark, rdd, LloydKernel, k, init.updated(1, Array(0.5))))
+    assert(sc.getPersistentRDDs.keySet == before)
+  }
+
+  test("Datasets.toDF feeds the distributed engine end-to-end") {
+    val df = Datasets.toDF(spark, Datasets.generate(Datasets.byName("NYC"), frac = 0.02))
+    val rdd = SparkKMeans.featuresRdd(df)
+    val local = rdd.collect()
+    val init8 = Init.kmeansPlusPlus(local, 8, 3L)
+    val dist = SparkKMeans.fit(spark, rdd, LloydKernel, 8, init8, maxIters = 4)
+    val ref = Runner.fitLocal(LloydKernel, local, 8, init8, maxIters = 4)
+    assert(math.abs(dist.sse - ref.sse) / math.max(ref.sse, 1e-12) < 1e-6)
   }
 
   test("DataFrameKMeans assignment+refinement matches the kernel centroids") {
@@ -72,5 +120,24 @@ class SparkKMeansSpec extends SparkSpec {
         (0 until d).map(i => s"avg(CAST(f$i AS DOUBLE)) AS m$i").mkString(", ") +
         " FROM pts GROUP BY cluster"
     Oracle.assertEquivalent(sparkAgg, duckSql, "pts" -> joined)
+  }
+}
+
+object SparkKMeansSpec {
+
+  /** Lloyd whose step fails from iteration 3 on. */
+  object FailingKernel extends Strategy {
+    val name = "Failing"
+    val req: Req = Req()
+
+    def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState = {
+      val lloyd = LloydKernel.newState(points, k, seed)
+      new PartitionState {
+        def step(info: CentroidInfo): Partials =
+          if (info.iter >= 3) throw new IllegalStateException("kernel failure") else lloyd.step(info)
+        def finalSse(centroids: Array[Array[Double]]): Double = lloyd.finalSse(centroids)
+        def assignments: Array[Int] = lloyd.assignments
+      }
+    }
   }
 }
