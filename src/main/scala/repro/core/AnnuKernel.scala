@@ -15,38 +15,16 @@ object AnnuKernel extends Strategy {
 }
 
 final class AnnuState(points: Array[Array[Double]], k: Int)
-    extends SequentialState(points, k) {
+    extends HamerlyState(points, k) {
 
-  private val ub = new Array[Double](n)
-  private val lb = new Array[Double](n)
   private val second = new Array[Int](n) // identity of second-nearest at last scan
   private val xNorm: Array[Double] = points.map(Geometry.norm)
 
-  override protected def ubOf(i: Int): Double = ub(i)
+  override protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo): Unit =
+    twoNearest(i, x, info.centroids)
 
-  protected def assignAll(info: CentroidInfo): Unit = {
-    val cs = info.centroids
-    var i = 0
-    while (i < n) {
-      val x = points(i)
-      if (info.iter == 1) {
-        fullScan(i, x, cs)
-      } else {
-        val a = assign(i)
-        ub(i) += info.drifts(a)
-        lb(i) -= info.maxDriftOther(a)
-        m.boundUpdate += 2; m.boundAccess += 2
-        val thr = math.max(lb(i), info.sc(a))
-        if (thr < ub(i)) {
-          ub(i) = cdist(x, cs(a))
-          if (thr < ub(i)) annularScan(i, x, info)
-        }
-      }
-      i += 1
-    }
-  }
-
-  private def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]]): Unit = {
+  /** The full scan, also recording which centroid was second nearest. */
+  private def twoNearest(i: Int, x: Array[Double], cs: Array[Array[Double]]): Unit = {
     var best = -1; var d1 = Double.PositiveInfinity
     var sec = -1; var d2 = Double.PositiveInfinity
     var j = 0
@@ -64,7 +42,7 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
   /** Scan only centroids inside the annulus; both the true nearest and the
     * true second-nearest provably lie inside (see Section 4.3.1).
     */
-  private def annularScan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
     val cs = info.centroids
     val dSecond = if (second(i) == assign(i)) ub(i) else cdist(x, cs(second(i)))
     val r = math.max(ub(i), dSecond)
@@ -84,7 +62,7 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
       else if (dd < d2) { d2 = dd; sec = j }
       from += 1
     }
-    if (best < 0) { fullScan(i, x, cs); return } // numeric safety net
+    if (best < 0) { twoNearest(i, x, cs); return } // numeric safety net
     ub(i) = d1; lb(i) = d2; second(i) = if (sec >= 0) sec else best
     m.boundUpdate += 2
     reassign(i, best)

@@ -42,7 +42,8 @@ final class GroupInfo(
   * Immutable; broadcast to partitions by the Spark runner.
   */
 final class CentroidInfo(
-    val iter: Int, // 1-based; iter 1 has zero drifts and fresh bound state
+    val iter: Int, // the driver's 1-based iteration; iter 1 has zero drifts. States
+                   // do not read it: each seeds its bounds on its own first step.
     val centroids: Array[Array[Double]],
     val drifts: Array[Double],
     val maxDrift: Double,

@@ -29,62 +29,62 @@ final class DrakState(points: Array[Array[Double]], k: Int)
   private val dTmp = new Array[Double](k)
   private val order = new Array[Integer](k)
 
+  override protected def seedAll(info: CentroidInfo): Unit = {
+    var i = 0
+    while (i < n) { fullScan(i, points(i), info.centroids); i += 1 }
+  }
+
   protected def assignAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
-    val first = info.iter == 1
     var i = 0
     while (i < n) {
       val x = points(i)
-      if (first) {
-        fullScan(i, x, cs)
-      } else {
-        val a = assign(i)
-        ub(i) += info.drifts(a)
-        rest(i) -= info.maxDrift
-        m.boundUpdate += 2
-        var minStored = Double.PositiveInfinity
-        var z = 0
-        while (z < b) {
-          bLb(i)(z) -= info.drifts(bIdx(i)(z))
-          if (bLb(i)(z) < minStored) minStored = bLb(i)(z)
-          m.boundUpdate += 1; m.boundAccess += 1
-          z += 1
-        }
-        m.boundAccess += 2
-        if (math.max(info.sc(a), math.min(minStored, rest(i))) < ub(i)) {
-          // Tighten and re-check before touching any stored centroid.
-          ub(i) = cdist(x, cs(a))
-          if (math.max(info.sc(a), math.min(minStored, rest(i))) < ub(i)) {
-            // Exact distances to the b stored centroids.
-            var best = a; var d1 = ub(i); var d2 = Double.PositiveInfinity
-            z = 0
-            while (z < b) {
-              val j = bIdx(i)(z)
-              val dd = cdist(x, cs(j))
-              bLb(i)(z) = dd
-              if (dd < d1) { d2 = d1; d1 = dd; best = j }
-              else if (dd < d2) d2 = dd
-              z += 1
-            }
-            if (d1 > rest(i)) {
-              // Some unstored centroid might still win — full rebuild.
-              fullScan(i, x, cs)
-            } else {
-              if (best != a) {
-                // The stored list must keep covering every non-assigned
-                // centroid: swap the old assignee in for the new one, with
-                // its exact distance (ub(i) still holds d(x, c_a)).
-                var slot = -1
-                var z2 = 0
-                while (z2 < b) { if (bIdx(i)(z2) == best) slot = z2; z2 += 1 }
-                if (slot >= 0) { bIdx(i)(slot) = a; bLb(i)(slot) = ub(i); m.boundUpdate += 1 }
-              }
-              ub(i) = d1
-              reassign(i, best)
-            }
-          } else reassign(i, a)
-        } else reassign(i, a)
+      val a = assign(i)
+      ub(i) += info.drifts(a)
+      rest(i) -= info.maxDrift
+      m.boundUpdate += 2
+      var minStored = Double.PositiveInfinity
+      var z = 0
+      while (z < b) {
+        bLb(i)(z) -= info.drifts(bIdx(i)(z))
+        if (bLb(i)(z) < minStored) minStored = bLb(i)(z)
+        m.boundUpdate += 1; m.boundAccess += 1
+        z += 1
       }
+      m.boundAccess += 2
+      if (math.max(info.sc(a), math.min(minStored, rest(i))) < ub(i)) {
+        // Tighten and re-check before touching any stored centroid.
+        ub(i) = cdist(x, cs(a))
+        if (math.max(info.sc(a), math.min(minStored, rest(i))) < ub(i)) {
+          // Exact distances to the b stored centroids.
+          var best = a; var d1 = ub(i); var d2 = Double.PositiveInfinity
+          z = 0
+          while (z < b) {
+            val j = bIdx(i)(z)
+            val dd = cdist(x, cs(j))
+            bLb(i)(z) = dd
+            if (dd < d1) { d2 = d1; d1 = dd; best = j }
+            else if (dd < d2) d2 = dd
+            z += 1
+          }
+          if (d1 > rest(i)) {
+            // Some unstored centroid might still win — full rebuild.
+            fullScan(i, x, cs)
+          } else {
+            if (best != a) {
+              // The stored list must keep covering every non-assigned
+              // centroid: swap the old assignee in for the new one, with
+              // its exact distance (ub(i) still holds d(x, c_a)).
+              var slot = -1
+              var z2 = 0
+              while (z2 < b) { if (bIdx(i)(z2) == best) slot = z2; z2 += 1 }
+              if (slot >= 0) { bIdx(i)(slot) = a; bLb(i)(slot) = ub(i); m.boundUpdate += 1 }
+            }
+            ub(i) = d1
+            reassign(i, best)
+          }
+        } else reassign(i, a)
+      } else reassign(i, a)
       i += 1
     }
   }

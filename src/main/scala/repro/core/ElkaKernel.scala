@@ -38,10 +38,7 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
   override protected def reportRadii: Boolean = tighterDrift
   override protected def ubOf(i: Int): Double = ub(i)
 
-  protected def assignAll(info: CentroidInfo): Unit =
-    if (info.iter == 1) firstIteration(info) else laterIteration(info)
-
-  private def firstIteration(info: CentroidInfo): Unit = {
+  override protected def seedAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
     val cc = info.cc
     var i = 0
@@ -70,7 +67,7 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
     }
   }
 
-  private def laterIteration(info: CentroidInfo): Unit = {
+  protected def assignAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
     val cc = info.cc
     val sc = info.sc

@@ -17,50 +17,10 @@ object ExpoKernel extends Strategy {
 }
 
 final class ExpoState(points: Array[Array[Double]], k: Int)
-    extends SequentialState(points, k) {
+    extends HamerlyState(points, k) {
 
-  private val ub = new Array[Double](n)
-  private val lb = new Array[Double](n)
-
-  override protected def ubOf(i: Int): Double = ub(i)
-
-  protected def assignAll(info: CentroidInfo): Unit = {
-    val cs = info.centroids
-    var i = 0
-    while (i < n) {
-      val x = points(i)
-      if (info.iter == 1) {
-        fullScan(i, x, cs)
-      } else {
-        val a = assign(i)
-        ub(i) += info.drifts(a)
-        lb(i) -= info.maxDriftOther(a)
-        m.boundUpdate += 2; m.boundAccess += 2
-        val thr = math.max(lb(i), info.sc(a))
-        if (thr < ub(i)) {
-          ub(i) = cdist(x, cs(a))
-          if (thr < ub(i)) exponionScan(i, x, info)
-        }
-      }
-      i += 1
-    }
-  }
-
-  private def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]]): Unit = {
-    var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-    var j = 0
-    while (j < k) {
-      val dd = cdist(x, cs(j))
-      if (dd < d1) { d2 = d1; d1 = dd; best = j }
-      else if (dd < d2) d2 = dd
-      j += 1
-    }
-    ub(i) = d1; lb(i) = d2
-    m.boundUpdate += 2
-    reassign(i, best)
-  }
-
-  private def exponionScan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
+  /** Scans the Exponion ball around the assigned centroid. */
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
     val cs = info.centroids
     val a = assign(i)
     val ubT = ub(i) // already tightened to the exact distance d(x, c_a)

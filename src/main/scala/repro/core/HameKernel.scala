@@ -12,40 +12,56 @@ object HameKernel extends Strategy {
     new HameState(points, k)
 }
 
-final class HameState(points: Array[Array[Double]], k: Int)
+/** Hamerly's single-bound pipeline, shared by Hame, Annu, Expo and Vector:
+  * per point an upper bound `ub` on the distance to its centroid and a lower
+  * bound `lb` on the distance to every other one. Each step drift-updates
+  * both, skips the point while max(lb, s(a)) ≥ ub, tightens ub to the exact
+  * distance and retests, and only then calls `rescan`. The kernels differ
+  * in which centroids `rescan` visits [Hamerly & Drake '15; Newling &
+  * Fleuret, ICML'16; Bottesch et al., ICML'16].
+  */
+abstract class HamerlyState(points: Array[Array[Double]], k: Int)
     extends SequentialState(points, k) {
 
-  private val ub = new Array[Double](n)
-  private val lb = new Array[Double](n)
+  protected final val ub = new Array[Double](n)
+  protected final val lb = new Array[Double](n)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
+  /** Point i's scan on the state's first step: sets ub, lb and the cluster. */
+  protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo): Unit =
+    fullScan(i, x, info.centroids)
+
+  /** Point i's scan after both tests failed; ub(i) is the exact d(x, c_a).
+    * Sets ub, lb and the cluster.
+    */
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit
+
+  override protected def seedAll(info: CentroidInfo): Unit = {
+    var i = 0
+    while (i < n) { seedScan(i, points(i), info); i += 1 }
+  }
+
   protected def assignAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
-    val first = info.iter == 1
     var i = 0
     while (i < n) {
-      val x = points(i)
-      if (first) {
-        fullScan(i, x, cs)
-      } else {
-        val a = assign(i)
-        ub(i) += info.drifts(a)
-        lb(i) -= info.maxDriftOther(a)
-        m.boundUpdate += 2
-        m.boundAccess += 2
-        val thr = math.max(lb(i), info.sc(a))
-        if (thr < ub(i)) {
-          ub(i) = cdist(x, cs(a)) // tighten
-          if (thr < ub(i)) fullScan(i, x, cs)
-        }
+      val a = assign(i)
+      ub(i) += info.drifts(a)
+      lb(i) -= info.maxDriftOther(a)
+      m.boundUpdate += 2; m.boundAccess += 2
+      val thr = math.max(lb(i), info.sc(a))
+      if (thr < ub(i)) {
+        val x = points(i)
+        ub(i) = cdist(x, cs(a)) // tighten
+        if (thr < ub(i)) rescan(i, x, info)
       }
       i += 1
     }
   }
 
   /** Scan all k centroids; set ub = nearest, lb = second nearest. */
-  private def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]]): Unit = {
+  protected final def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]]): Unit = {
     var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
     var j = 0
     while (j < k) {
@@ -58,4 +74,11 @@ final class HameState(points: Array[Array[Double]], k: Int)
     m.boundUpdate += 2
     reassign(i, best)
   }
+}
+
+final class HameState(points: Array[Array[Double]], k: Int)
+    extends HamerlyState(points, k) {
+
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit =
+    fullScan(i, x, info.centroids)
 }

@@ -21,36 +21,32 @@ final class HeapState(points: Array[Array[Double]], k: Int)
   private val heapKey = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Double])
   private val heapPt = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
   private val offset = new Array[Double](k)
-  private val ubScratch = new Array[Double](n) // only for radii-free SSE; not bounds
+
+  override protected def seedAll(info: CentroidInfo): Unit = {
+    var i = 0
+    while (i < n) { scanAndPush(i, info.centroids); i += 1 }
+  }
 
   protected def assignAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
-    if (info.iter == 1) {
-      var i = 0
-      while (i < n) {
-        scanAndPush(i, cs)
-        i += 1
+    var j = 0
+    while (j < k) {
+      offset(j) += info.drifts(j) + info.maxDriftOther(j)
+      j += 1
+    }
+    j = 0
+    while (j < k) {
+      // Pop while the corrected gap can be negative (bound violated).
+      var go = true
+      while (go && heapKey(j).nonEmpty) {
+        m.boundAccess += 1
+        if (heapKey(j)(0) - offset(j) < 0) {
+          val i = heapPt(j)(0)
+          pop(j)
+          scanAndPush(i, cs)
+        } else go = false
       }
-    } else {
-      var j = 0
-      while (j < k) {
-        offset(j) += info.drifts(j) + info.maxDriftOther(j)
-        j += 1
-      }
-      j = 0
-      while (j < k) {
-        // Pop while the corrected gap can be negative (bound violated).
-        var go = true
-        while (go && heapKey(j).nonEmpty) {
-          m.boundAccess += 1
-          if (heapKey(j)(0) - offset(j) < 0) {
-            val i = heapPt(j)(0)
-            pop(j)
-            scanAndPush(i, cs)
-          } else go = false
-        }
-        j += 1
-      }
+      j += 1
     }
   }
 
@@ -65,7 +61,6 @@ final class HeapState(points: Array[Array[Double]], k: Int)
       else if (dd < d2) d2 = dd
       j += 1
     }
-    ubScratch(i) = d1
     reassign(i, best)
     push(best, (d2 - d1) + offset(best), i)
     m.boundUpdate += 1

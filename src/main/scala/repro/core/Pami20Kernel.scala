@@ -21,35 +21,40 @@ final class Pami20State(points: Array[Array[Double]], k: Int)
   override protected def reportRadii: Boolean = true
   override protected def ubOf(i: Int): Double = ub(i)
 
+  override protected def seedAll(info: CentroidInfo): Unit = {
+    val cs = info.centroids
+    var i = 0
+    while (i < n) {
+      val x = points(i)
+      var best = 0; var d1 = cdist(x, cs(0))
+      var j = 1
+      while (j < k) {
+        val dd = cdist(x, cs(j))
+        if (dd < d1) { d1 = dd; best = j }
+        j += 1
+      }
+      ub(i) = d1
+      reassign(i, best)
+      i += 1
+    }
+  }
+
   protected def assignAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
     var i = 0
     while (i < n) {
       val x = points(i)
-      if (info.iter == 1) {
-        var best = 0; var d1 = cdist(x, cs(0))
-        var j = 1
-        while (j < k) {
-          val dd = cdist(x, cs(j))
-          if (dd < d1) { d1 = dd; best = j }
-          j += 1
-        }
-        ub(i) = d1
-        reassign(i, best)
-      } else {
-        val a = assign(i)
-        val cand = info.candidates(a)
-        var best = -1; var d1 = Double.PositiveInfinity
-        var z = 0
-        while (z < cand.length) {
-          val j = cand(z)
-          val dd = cdist(x, cs(j))
-          if (dd < d1) { d1 = dd; best = j }
-          z += 1
-        }
-        ub(i) = d1
-        reassign(i, best)
+      val cand = info.candidates(assign(i))
+      var best = -1; var d1 = Double.PositiveInfinity
+      var z = 0
+      while (z < cand.length) {
+        val j = cand(z)
+        val dd = cdist(x, cs(j))
+        if (dd < d1) { d1 = dd; best = j }
+        z += 1
       }
+      ub(i) = d1
+      reassign(i, best)
       i += 1
     }
   }

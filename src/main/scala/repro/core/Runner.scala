@@ -60,10 +60,11 @@ object Runner {
                 seed: Long): FitResult =
     fit(strategy, mkStep(states), cs => states.map(_.finalSse(cs)).sum, k, init, maxIters, seed)
 
-  /** Fails unless `init` holds `k` centroids of one dimension. */
+  /** Fails unless `init` holds `k` finite centroids of one dimension. */
   def requireInit(init: Array[Array[Double]], k: Int): Unit = {
     require(init.length == k, s"init has ${init.length} centroids, expected $k")
     require(init.forall(_.length == init(0).length), "init centroids differ in dimension")
+    require(init.forall(_.forall(java.lang.Double.isFinite)), "init has a non-finite coordinate")
   }
 
   /** The iteration loop. `step` runs one assignment+refinement over every

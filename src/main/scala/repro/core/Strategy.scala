@@ -26,21 +26,67 @@ trait Strategy extends Serializable {
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState
 }
 
+/** What every partition state holds: its points (checked on construction),
+  * their current assignment, from which `finalSse` and `assignments` are
+  * read, and the state's counters.
+  */
+abstract class PointState(val points: Array[Array[Double]], val k: Int)
+    extends PartitionState {
+
+  final val n: Int = points.length
+  final val d: Int = PointState.checkedDim(points)
+  final val assign: Array[Int] = Array.fill(n)(-1)
+  final val m = new Metrics
+
+  def finalSse(centroids: Array[Array[Double]]): Double = {
+    var s = 0.0
+    var i = 0
+    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
+    s
+  }
+
+  def assignments: Array[Int] = assign.clone()
+}
+
+object PointState {
+
+  /** The common dimension of `points` (0 when there are none). Fails with
+    * an `IllegalArgumentException` naming the first row that is ragged or
+    * holds a NaN or infinite coordinate.
+    */
+  private def checkedDim(points: Array[Array[Double]]): Int = {
+    val d = if (points.isEmpty) 0 else points(0).length
+    var i = 0
+    while (i < points.length) {
+      val x = points(i)
+      if (x.length != d)
+        throw new IllegalArgumentException(s"point $i has ${x.length} coordinates, expected $d")
+      var z = 0
+      while (z < d) {
+        if (!java.lang.Double.isFinite(x(z)))
+          throw new IllegalArgumentException(s"point $i has a non-finite coordinate ${x(z)} at $z")
+        z += 1
+      }
+      i += 1
+    }
+    d
+  }
+}
+
 /** Shared scaffolding for the *sequential* (point-at-a-time) kernels:
   * assignment bookkeeping, incremental ("sum vector") or full-rescan
   * refinement, mover tracking, per-phase timing, metric snapshots.
   *
-  * Subclasses implement `assignAll` and call `reassign(i, j)` for every
-  * point each iteration (also when j is unchanged — reassign only records
-  * a move when the cluster actually changes).
+  * A state seeds its bounds on its own first step, whatever the driver's
+  * iteration: `step` calls `seedAll` the first time and `assignAll` on
+  * every later call, so a state rebuilt mid-run (a recomputed Spark
+  * partition) starts from exact bounds. Kernels without bounds keep the
+  * default `seedAll = assignAll`. Both call `reassign(i, j)` for every
+  * point (also when j is unchanged — reassign only records a move when the
+  * cluster actually changes).
   */
-abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
-    extends PartitionState {
-
-  final val n: Int = points.length
-  final val d: Int = if (n == 0) 0 else points(0).length
-  final val assign: Array[Int] = Array.fill(n)(-1)
-  final val m = new Metrics
+abstract class SequentialState(points: Array[Array[Double]], k: Int)
+    extends PointState(points, k) {
 
   /** Lloyd sets this false: refinement rescans every point. */
   protected def incrementalRefine: Boolean = true
@@ -49,7 +95,7 @@ abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
   protected def reportRadii: Boolean = false
 
   /** Distance upper bound of point i to its assigned centroid (only needed
-    * when `reportRadii`; must be valid after `assignAll`).
+    * when `reportRadii`; must be valid after `seedAll` and `assignAll`).
     */
   protected def ubOf(i: Int): Double = 0.0
 
@@ -58,7 +104,12 @@ abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
 
   private val moverIdx = new ArrayBuffer[Int]
   private val moverFrom = new ArrayBuffer[Int]
+  private var seeded = false
 
+  /** Assignment on the state's first step: no bound is stored yet. */
+  protected def seedAll(info: CentroidInfo): Unit = assignAll(info)
+
+  /** Assignment on every later step, from the bounds stored so far. */
   protected def assignAll(info: CentroidInfo): Unit
 
   /** Counted distance from a data point to a centroid. */
@@ -75,7 +126,7 @@ abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
   def step(info: CentroidInfo): Partials = {
     moverIdx.clear(); moverFrom.clear()
     val t0 = System.nanoTime()
-    assignAll(info)
+    if (seeded) assignAll(info) else { seedAll(info); seeded = true }
     val t1 = System.nanoTime()
     refine()
     val t2 = System.nanoTime()
@@ -121,13 +172,4 @@ abstract class SequentialState(val points: Array[Array[Double]], val k: Int)
       }
     }
   }
-
-  def finalSse(centroids: Array[Array[Double]]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
-    s
-  }
-
-  def assignments: Array[Int] = assign.clone()
 }

@@ -15,10 +15,8 @@ object VectorKernel extends Strategy {
 }
 
 final class VectorState(points: Array[Array[Double]], k: Int)
-    extends SequentialState(points, k) {
+    extends HamerlyState(points, k) {
 
-  private val ub = new Array[Double](n)
-  private val lb = new Array[Double](n)
   private val xNormSq = new Array[Double](n)
   private val xB1 = new Array[Double](n)
   private val xB2 = new Array[Double](n)
@@ -31,35 +29,14 @@ final class VectorState(points: Array[Array[Double]], k: Int)
     }
   }
 
-  override protected def ubOf(i: Int): Double = ub(i)
-
-  protected def assignAll(info: CentroidInfo): Unit = {
-    val cs = info.centroids
-    var i = 0
-    while (i < n) {
-      val x = points(i)
-      if (info.iter == 1) {
-        filteredScan(i, x, info)
-      } else {
-        val a = assign(i)
-        ub(i) += info.drifts(a)
-        lb(i) -= info.maxDriftOther(a)
-        m.boundUpdate += 2; m.boundAccess += 2
-        val thr = math.max(lb(i), info.sc(a))
-        if (thr < ub(i)) {
-          ub(i) = cdist(x, cs(a))
-          if (thr < ub(i)) filteredScan(i, x, info)
-        }
-      }
-      i += 1
-    }
-  }
+  override protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo): Unit =
+    rescan(i, x, info)
 
   /** Full scan with the block-vector bound as a per-centroid prefilter.
     * A centroid is skipped only when its block bound exceeds the running
     * second-best distance (so both d1 and d2 stay exact for ub/lb).
     */
-  private def filteredScan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
     val cs = info.centroids
     var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
     var j = 0

@@ -41,21 +41,14 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
   private var gScanned: Array[Boolean] = null
   private var remapBuf: Array[Double] = null
 
-  protected def assignAll(info: CentroidInfo): Unit = {
-    val gi = info.groups
-    if (glb == null) {
-      t = gi.nGroups
-      glb = new Array[Double](n * t)
-      gMin = new Array[Double](t); gMinIdx = new Array[Int](t); gMin2 = new Array[Double](t)
-      gScanned = new Array[Boolean](t)
-      remapBuf = new Array[Double](t)
-    }
-    if (info.iter == 1) firstIteration(info) else laterIteration(info)
-  }
-
-  private def firstIteration(info: CentroidInfo): Unit = {
+  override protected def seedAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
     val gi = info.groups
+    t = gi.nGroups
+    glb = new Array[Double](n * t)
+    gMin = new Array[Double](t); gMinIdx = new Array[Int](t); gMin2 = new Array[Double](t)
+    gScanned = new Array[Boolean](t)
+    remapBuf = new Array[Double](t)
     var i = 0
     while (i < n) {
       val x = points(i)
@@ -84,7 +77,7 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
     }
   }
 
-  private def laterIteration(info: CentroidInfo): Unit = {
+  protected def assignAll(info: CentroidInfo): Unit = {
     val cs = info.centroids
     val gi = info.groups
     val remap = gi.remapFrom

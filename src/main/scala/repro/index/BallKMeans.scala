@@ -13,19 +13,17 @@ final class BallKMeansStrategy(kind: BallTree.Kind = BallTree.Ball, capacity: In
   val req: Req = Req()
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
-    new BallKMeansState(points, k, BallTree.build(points, capacity, seed, kind))
+    new BallKMeansState(points, k, kind, capacity, seed)
 }
 
 object BallKMeansStrategy {
   val default = new BallKMeansStrategy()
 }
 
-final class BallKMeansState(points: Array[Array[Double]], k: Int, val tree: BallTree)
-    extends PartitionState {
-  private val n = points.length
-  private val d = if (n == 0) 0 else points(0).length
-  private val assign = Array.fill(n)(-1)
-  val m = new Metrics
+final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree.Kind,
+                            capacity: Int, seed: Long)
+    extends PointState(points, k) {
+  private val tree = BallTree.build(points, capacity, seed, kind)
   private val filter = new CandidateFilter(points, k, tree, assign, m)
 
   def step(info: CentroidInfo): Partials = {
@@ -36,14 +34,6 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, val tree: Ball
     val t1 = System.nanoTime()
     new Partials(sums, counts, null, moved, n.toLong, m.snapshot(), t1 - t0, 0L)
   }
-
-  def finalSse(centroids: Array[Array[Double]]): Double = {
-    var s = 0.0; var i = 0
-    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
-    s
-  }
-
-  def assignments: Array[Int] = assign.clone()
 }
 
 /** Moore's candidate filtering over a ball tree [Moore, UAI'00], the one

@@ -90,12 +90,9 @@ object KdKMeans extends Strategy {
     new KdKMeansState(points, k)
 }
 
-final class KdKMeansState(points: Array[Array[Double]], k: Int) extends PartitionState {
-  private val n = points.length
-  private val d = if (n == 0) 0 else points(0).length
+final class KdKMeansState(points: Array[Array[Double]], k: Int)
+    extends PointState(points, k) {
   private val tree = if (n == 0) null else KdTree.build(points)
-  private val assign = Array.fill(n)(-1)
-  val m = new Metrics
   private var movedThisIter = 0L
 
   def step(info: CentroidInfo): Partials = {
@@ -172,12 +169,4 @@ final class KdKMeansState(points: Array[Array[Double]], k: Int) extends Partitio
     val t1 = System.nanoTime()
     new Partials(sums, counts, null, movedThisIter, n.toLong, m.snapshot(), t1 - t0, 0L)
   }
-
-  def finalSse(centroids: Array[Array[Double]]): Double = {
-    var s = 0.0; var i = 0
-    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
-    s
-  }
-
-  def assignments: Array[Int] = assign.clone()
 }

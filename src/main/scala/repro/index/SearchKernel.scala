@@ -14,11 +14,13 @@ object SearchKernel extends Strategy {
   val req: Req = Req(cc = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
-    new SearchState(points, k, BallTree.build(points, 30, seed))
+    new SearchState(points, k, seed)
 }
 
-final class SearchState(points: Array[Array[Double]], k: Int, tree: BallTree)
+final class SearchState(points: Array[Array[Double]], k: Int, seed: Long)
     extends SequentialState(points, k) {
+
+  private val tree = BallTree.build(points, 30, seed)
 
   private val done = new Array[Boolean](n)
 

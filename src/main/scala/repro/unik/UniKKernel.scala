@@ -14,8 +14,8 @@ import repro.index.{BallNode, BallTree, CandidateFilter}
   *
   * Traversal knobs (Section 5.3): `Multiple` re-enters the tree from the
   * root every iteration; `Single` keeps the surviving objects in their
-  * clusters and drift-updates their bounds; `Adaptive` times iteration 1
-  * (root) against iteration 2 (clusters) and keeps the winner.
+  * clusters and drift-updates their bounds; `Adaptive` times its first
+  * step (root) against its second (clusters) and keeps the winner.
   */
 sealed trait UniKMode
 object UniKMode {
@@ -34,24 +34,27 @@ final class UniKStrategy(mode: UniKMode = UniKMode.Adaptive, capacity: Int = 30)
   val req: Req = Req(groups = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
-    new UniKState(points, k, BallTree.build(points, capacity, seed), mode)
+    new UniKState(points, k, mode, capacity, seed)
 }
 
 object UniKStrategy {
   val default = new UniKStrategy()
 }
 
-final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
-                      mode: UniKMode)
-    extends PartitionState {
+/** One partition's UniK state. It counts its own steps: the first is a root
+  * pass that seeds the bounds and object lists, whatever the driver's
+  * iteration, so a state rebuilt mid-run (a recomputed Spark partition)
+  * starts from exact bounds; the traversal of later steps follows `mode`,
+  * and `Adaptive` times the state's own first two steps.
+  */
+final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capacity: Int,
+                      seed: Long)
+    extends PointState(points, k) {
 
-  private val n = points.length
-  private val d = if (n == 0) 0 else points(0).length
-  private val assign = Array.fill(n)(-1)
-  val m = new Metrics
+  private val tree = BallTree.build(points, capacity, seed)
   private val filter = new CandidateFilter(points, k, tree, assign, m)
 
-  private var t = 0 // #groups, fixed after iteration 1
+  private var t = 0 // #groups, fixed by the first step
   // Persistent bounds, indexed by node id / point index.
   private var nodeUb: Array[Double] = null
   private var nodeGlb: Array[Double] = null  // nodeCount × t
@@ -79,8 +82,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
   private val opTo = new scala.collection.mutable.ArrayBuffer[Int]
   private val opPoint = new scala.collection.mutable.ArrayBuffer[Boolean]
 
-  private var iter1Nanos = -1L
-  private var iter2Nanos = -1L
+  private var steps = 0 // steps taken by this state
+  private var step1Nanos = -1L
   private var chosenSingle = true
 
   // scratch
@@ -103,17 +106,12 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
     moved = 0
     opVec.clear(); opNum.clear(); opFrom.clear(); opTo.clear(); opPoint.clear()
 
-    val useRoot = info.iter match {
-      case 1 => true
-      case 2 => mode == UniKMode.Multiple
-      case _ =>
-        mode match {
-          case UniKMode.Multiple => true
-          case UniKMode.Single   => false
-          case UniKMode.Adaptive =>
-            if (iter2Nanos >= 0) !chosenSingle else false
-        }
-    }
+    steps += 1
+    val useRoot = steps == 1 || (mode match {
+      case UniKMode.Multiple => true
+      case UniKMode.Single   => false
+      case UniKMode.Adaptive => steps > 2 && !chosenSingle
+    })
 
     val t0 = System.nanoTime()
     if (useRoot) rootTraversal(info) else clusterPass(info)
@@ -121,11 +119,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
     if (!useRoot) applyOps() // incremental refinement
     val t2 = System.nanoTime()
 
-    if (info.iter == 1) iter1Nanos = t1 - t0
-    if (info.iter == 2 && mode == UniKMode.Adaptive) {
-      iter2Nanos = t1 - t0
-      chosenSingle = iter2Nanos <= iter1Nanos
-    }
+    if (steps == 1) step1Nanos = t1 - t0
+    if (steps == 2) chosenSingle = t1 - t0 <= step1Nanos
 
     new Partials(Geometry.copy2(sums), counts.clone(), null, moved, n.toLong,
       m.snapshot(), t1 - t0, t2 - t1)
@@ -133,18 +128,18 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
 
   // ------------------------------------------------------------------
   // Root pass: the shared candidate-filtering traversal, seeding bounds and
-  // object lists on iteration 1 (only a cluster pass reads them).
+  // object lists on the state's first step (only a cluster pass reads them).
   // ------------------------------------------------------------------
   private def rootTraversal(info: CentroidInfo): Unit = {
-    val seed = info.iter == 1
+    val seeding = steps == 1
     var j = 0
     while (j < k) {
       java.util.Arrays.fill(sums(j), 0.0); counts(j) = 0
-      if (seed) lists(j).clear()
+      if (seeding) lists(j).clear()
       j += 1
     }
     moved += filter.run(info.centroids, sums, counts,
-      if (seed && tree.root != null) new Seeding(info.groups) else null)
+      if (seeding && tree.root != null) new Seeding(info.groups) else null)
   }
 
   /** Seeds nodeUb/ptUb, the group lower bounds and the object lists from the
@@ -375,12 +370,4 @@ final class UniKState(points: Array[Array[Double]], k: Int, val tree: BallTree,
       z += 1
     }
   }
-
-  def finalSse(centroids: Array[Array[Double]]): Double = {
-    var s = 0.0; var i = 0
-    while (i < n) { s += Geometry.distSq(points(i), centroids(assign(i))); i += 1 }
-    s
-  }
-
-  def assignments: Array[Int] = assign.clone()
 }

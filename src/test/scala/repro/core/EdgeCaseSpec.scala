@@ -67,6 +67,36 @@ class EdgeCaseSpec extends AnyFunSuite {
     }
   }
 
+  // Bad points fail when the state is built, naming the first bad row,
+  // instead of landing silently in some cluster (or in none).
+  private val badPoints: Seq[(String, Array[Array[Double]], String)] = {
+    val pts = TestData.mixture(40, 3, 4, 0.05, 12L)
+    Seq(
+      ("NaN", pts.updated(7, Array(0.1, Double.NaN, 0.2)), "point 7 has a non-finite coordinate NaN at 1"),
+      ("+Inf", pts.updated(9, Array(0.1, 0.2, Double.PositiveInfinity)), "point 9 has a non-finite coordinate Infinity at 2"),
+      ("-Inf", pts.updated(3, Array(Double.NegativeInfinity, 0.1, 0.2)), "point 3 has a non-finite coordinate -Infinity at 0"),
+      ("ragged", pts.updated(5, Array(0.1, 0.2)), "point 5 has 2 coordinates, expected 3"))
+  }
+
+  for ((what, pts, msg) <- badPoints) {
+    test(s"every strategy rejects a $what point, naming its row") {
+      val init = Init.kmeansPlusPlus(pts.take(3), 3, 13L)
+      for (s <- LloydKernel +: strategies) {
+        val e = intercept[IllegalArgumentException](Runner.fitLocal(s, pts, 3, init, maxIters = 3))
+        assert(e.getMessage == msg, s.name)
+      }
+    }
+  }
+
+  test("Runner.requireInit rejects non-finite init values") {
+    val pts = TestData.mixture(40, 3, 4, 0.05, 12L)
+    for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      val init = Init.kmeansPlusPlus(pts, 3, 13L).updated(2, Array(0.5, bad, 0.5))
+      val e = intercept[IllegalArgumentException](Runner.fitLocal(HameKernel, pts, 3, init))
+      assert(e.getMessage.contains("non-finite"))
+    }
+  }
+
   test("Partials.merge drops a side over no points") {
     def partials(n: Long, sums: Array[Array[Double]]) = {
       val m = new Metrics; m.dist = n

@@ -93,20 +93,54 @@ class ExactnessSpec extends AnyFunSuite {
     assert(res.metrics.boundAccess == 52000L)
   }
 
-  // INDE and UniK's root passes run the same candidate-filtering traversal;
-  // UniK seeds its bounds on iteration 1 only.
-  for ((s, dist, point, node, bound, boundUpd) <- Seq(
-      (Strategies.index, 692312L, 497558L, 3318L, 0L, 0L),
-      (Strategies.unikMultiple, 692312L, 497558L, 3318L, 0L, 20000L),
-      (Strategies.unikSingle, 168046L, 154260L, 265L, 373180L, 323574L))) {
+  // Every deterministic strategy's cumulative counters on one fixture: a
+  // refactor must keep each one bit-identical. INDE and UniK's root
+  // passes run the same candidate-filtering traversal; UniK seeds its bounds
+  // on its first step only. Adaptive UniK is left out: it picks its
+  // traversal by timing.
+  private val pins: Seq[(Strategy, Int, Long, Long, Long, Long, Long)] = {
+    def by(name: String) = Strategies(name)
+    def kind(k: BallTree.Kind) = new BallKMeansStrategy(k)
+    Seq(
+      //                    iters  dist      point     node    bound     boundUpd
+      (by("Lloyd"),         14, 2800000L, 2828000L,     0L,       0L,       0L),
+      (by("Elka"),          14,   48616L,   51109L,     0L, 2573711L, 2824000L),
+      (by("Drift"),         14,   48616L,   51109L,     0L, 2573711L, 2824000L),
+      (by("Hame"),          14, 1575458L, 1577951L,     0L,   52000L,   83212L),
+      (by("Drak"),          14,  318300L,  320793L,     0L,  702000L,  756493L),
+      (by("Yinyang"),       14,  315037L,  317530L,     0L,  345770L,  314595L),
+      (by("Regroup"),       14,  320118L,  322611L,     0L,  611100L,  575065L),
+      (by("Heap"),          14, 1632500L, 1634993L,     0L,   15625L,   16325L),
+      (by("Annu"),          14,  748507L,  751000L,     0L,   52000L,   83212L),
+      (by("Expo"),          14,  247812L,  250305L,     0L,   52000L,   83212L),
+      (by("Vector"),        14,  829412L,  831905L,     0L, 1612600L,   83212L),
+      (by("Pami20"),        14,  292026L,  294519L,     0L,       0L,       0L),
+      (by("Search"),        14, 2936393L, 2748593L, 62332L,       0L,       0L),
+      (by("Full"),          14,   48419L,   50912L,     0L,  786047L, 3431717L),
+      (by("KdTree"),        14,  496714L,   69085L, 46902L,       0L,       0L),
+      (Strategies.index,    14,  692312L,  497558L,  3318L,       0L,       0L),
+      (kind(BallTree.HKT),  14,  254202L,  124960L,  3010L,       0L,       0L),
+      (kind(BallTree.MTree), 14, 1066634L, 836540L,  3178L,       0L,       0L),
+      (kind(BallTree.Cover), 14, 2920893L, 2696017L, 2310L,       0L,       0L),
+      (Strategies.unikMultiple, 14, 692312L, 497558L, 3318L,      0L,   20000L),
+      (Strategies.unikSingle, 14, 168046L,  154260L,   265L,  373180L,  323574L))
+  }
+
+  for ((s, iters, dist, point, node, bound, boundUpd) <- pins) {
     test(s"${s.name}'s cumulative counters are pinned") {
       val pts = TestData.mixture(2000, 8, 30, 0.05, 21L)
       val init = Init.kmeansPlusPlus(pts, 100, 22L)
       val res = Runner.fitLocal(s, pts, 100, init, maxIters = 15)
-      assert(res.iterations == 14 && res.converged)
+      assert(res.iterations == iters && res.converged)
       val m = res.metrics
       assert((m.dist, m.pointAccess, m.nodeAccess, m.boundAccess, m.boundUpdate) ==
         ((dist, point, node, bound, boundUpd)))
     }
+  }
+
+  test("the counter pins cover every deterministic strategy and Ball-tree kind") {
+    val pinned = pins.map(_._1.name).toSet
+    assert(pinned == Strategies.byName.keySet - "UniK" ++
+      Seq("Index-HKT", "Index-M-tree", "Index-Cover-tree"))
   }
 }

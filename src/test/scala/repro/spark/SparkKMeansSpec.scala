@@ -78,6 +78,20 @@ class SparkKMeansSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.keySet == before)
   }
 
+  test("Spark fits reject a NaN or ragged point on the executors, naming its row") {
+    for ((bad, msg) <- Seq((Array(0.1, Double.NaN, 0.2, 0.3), "has a non-finite coordinate NaN at 1"),
+                           (Array(0.1, 0.2), "coordinates, expected "));
+         s <- Seq(LloydKernel, HameKernel, Strategies.unik)) {
+      val rdd = spark.sparkContext.parallelize(pts.updated(100, bad).toSeq, 4)
+      val e = intercept[Exception](SparkKMeans.fit(spark, rdd, s, k, init, numPartitions = 4))
+      val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.toString).mkString("\n")
+      assert(chain.contains("IllegalArgumentException") && chain.contains(msg), s"${s.name}: $chain")
+    }
+    intercept[IllegalArgumentException](
+      SparkKMeans.fit(spark, spark.sparkContext.parallelize(pts.toSeq, 4), LloydKernel, k,
+        init.updated(0, Array(0.5, 0.5, Double.PositiveInfinity, 0.5))))
+  }
+
   test("Datasets.toDF feeds the distributed engine end-to-end") {
     val df = Datasets.toDF(spark, Datasets.generate(Datasets.byName("NYC"), frac = 0.02))
     val rdd = SparkKMeans.featuresRdd(df)
