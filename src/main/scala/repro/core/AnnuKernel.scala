@@ -20,31 +20,31 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
   private val second = new Array[Int](n) // identity of second-nearest at last scan
   private val xNorm: Array[Double] = points.map(Geometry.norm)
 
-  override protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo): Unit =
-    twoNearest(i, x, info.centroids)
+  override protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit =
+    twoNearest(i, x, info.centroids, b)
 
   /** The full scan, also recording which centroid was second nearest. */
-  private def twoNearest(i: Int, x: Array[Double], cs: Array[Array[Double]]): Unit = {
+  private def twoNearest(i: Int, x: Array[Double], cs: Array[Array[Double]], b: Block): Unit = {
     var best = -1; var d1 = Double.PositiveInfinity
     var sec = -1; var d2 = Double.PositiveInfinity
     var j = 0
     while (j < k) {
-      val dd = cdist(x, cs(j))
+      val dd = b.cdist(x, cs(j))
       if (dd < d1) { d2 = d1; sec = best; d1 = dd; best = j }
       else if (dd < d2) { d2 = dd; sec = j }
       j += 1
     }
     ub(i) = d1; lb(i) = d2; second(i) = if (sec >= 0) sec else best
-    m.boundUpdate += 2
-    reassign(i, best)
+    b.m.boundUpdate += 2
+    b.reassign(i, best)
   }
 
   /** Scan only centroids inside the annulus; both the true nearest and the
     * true second-nearest provably lie inside (see Section 4.3.1).
     */
-  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit = {
     val cs = info.centroids
-    val dSecond = if (second(i) == assign(i)) ub(i) else cdist(x, cs(second(i)))
+    val dSecond = if (second(i) == assign(i)) ub(i) else b.cdist(x, cs(second(i)))
     val r = math.max(ub(i), dSecond)
     val lo = xNorm(i) - r
     val hi = xNorm(i) + r
@@ -57,15 +57,15 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
     // construction, so the scan below always sees >= 2 candidates (k >= 2).
     while (from < k && sv(from) <= hi) {
       val j = si(from)
-      val dd = cdist(x, cs(j))
+      val dd = b.cdist(x, cs(j))
       if (dd < d1) { d2 = d1; sec = best; d1 = dd; best = j }
       else if (dd < d2) { d2 = dd; sec = j }
       from += 1
     }
-    if (best < 0) { twoNearest(i, x, cs); return } // numeric safety net
+    if (best < 0) { twoNearest(i, x, cs, b); return } // numeric safety net
     ub(i) = d1; lb(i) = d2; second(i) = if (sec >= 0) sec else best
-    m.boundUpdate += 2
-    reassign(i, best)
+    b.m.boundUpdate += 2
+    b.reassign(i, best)
   }
 
   /** First index with value >= key in a sorted array. */

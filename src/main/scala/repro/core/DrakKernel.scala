@@ -25,19 +25,23 @@ final class DrakState(points: Array[Array[Double]], k: Int)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
-  // scratch for full scans
-  private val dTmp = new Array[Double](k)
-  private val order = new Array[Integer](k)
+  /** A block's scratch for full scans: (distance, centroid) pairs. */
+  protected final class Ctx extends Block {
+    val dTmp = new Array[Double](k)
+    val order = new Array[Int](k)
+  }
+  protected def newBlock(): Ctx = new Ctx
 
-  override protected def seedAll(info: CentroidInfo): Unit = {
-    var i = 0
-    while (i < n) { fullScan(i, points(i), info.centroids); i += 1 }
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, blk: Ctx): Unit = {
+    var i = from
+    while (i < until) { fullScan(i, points(i), info.centroids, blk); i += 1 }
   }
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, blk: Ctx): Unit = {
     val cs = info.centroids
-    var i = 0
-    while (i < n) {
+    val m = blk.m
+    var i = from
+    while (i < until) {
       val x = points(i)
       val a = assign(i)
       ub(i) += info.drifts(a)
@@ -54,14 +58,14 @@ final class DrakState(points: Array[Array[Double]], k: Int)
       m.boundAccess += 2
       if (math.max(info.sc(a), math.min(minStored, rest(i))) < ub(i)) {
         // Tighten and re-check before touching any stored centroid.
-        ub(i) = cdist(x, cs(a))
+        ub(i) = blk.cdist(x, cs(a))
         if (math.max(info.sc(a), math.min(minStored, rest(i))) < ub(i)) {
           // Exact distances to the b stored centroids.
           var best = a; var d1 = ub(i); var d2 = Double.PositiveInfinity
           z = 0
           while (z < b) {
             val j = bIdx(i)(z)
-            val dd = cdist(x, cs(j))
+            val dd = blk.cdist(x, cs(j))
             bLb(i)(z) = dd
             if (dd < d1) { d2 = d1; d1 = dd; best = j }
             else if (dd < d2) d2 = dd
@@ -69,7 +73,7 @@ final class DrakState(points: Array[Array[Double]], k: Int)
           }
           if (d1 > rest(i)) {
             // Some unstored centroid might still win — full rebuild.
-            fullScan(i, x, cs)
+            fullScan(i, x, cs, blk)
           } else {
             if (best != a) {
               // The stored list must keep covering every non-assigned
@@ -81,31 +85,35 @@ final class DrakState(points: Array[Array[Double]], k: Int)
               if (slot >= 0) { bIdx(i)(slot) = a; bLb(i)(slot) = ub(i); m.boundUpdate += 1 }
             }
             ub(i) = d1
-            reassign(i, best)
+            blk.reassign(i, best)
           }
-        } else reassign(i, a)
-      } else reassign(i, a)
+        } else blk.reassign(i, a)
+      } else blk.reassign(i, a)
       i += 1
     }
   }
 
-  /** Compute all k distances; store the b nearest others and the (b+1)-th as `rest`. */
-  private def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]]): Unit = {
+  /** Compute all k distances; store the b nearest others and the (b+1)-th as
+    * `rest`. Pairs are ordered by (distance, centroid index), as a stable
+    * sort by distance would order them: a selection puts the (b+1)-th in
+    * place and the b+1 nearest before it, which are then sorted.
+    */
+  private def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]], blk: Ctx): Unit = {
+    val dTmp = blk.dTmp; val order = blk.order
     var j = 0
-    while (j < k) { dTmp(j) = cdist(x, cs(j)); order(j) = j; j += 1 }
-    java.util.Arrays.sort(order, (p: Integer, q: Integer) =>
-      java.lang.Double.compare(dTmp(p), dTmp(q)))
-    val best = order(0).intValue
-    ub(i) = dTmp(best)
+    while (j < k) { dTmp(j) = blk.cdist(x, cs(j)); order(j) = j; j += 1 }
+    if (b + 1 < k) IndexSort.select(dTmp, order, 0, k - 1, b + 1)
+    IndexSort.sort(dTmp, order, 0, b)
+    val best = order(0)
+    ub(i) = dTmp(0)
     var z = 0
     while (z < b) {
-      val j2 = order(z + 1).intValue
-      bIdx(i)(z) = j2; bLb(i)(z) = dTmp(j2)
-      m.boundUpdate += 1
+      bIdx(i)(z) = order(z + 1); bLb(i)(z) = dTmp(z + 1)
+      blk.m.boundUpdate += 1
       z += 1
     }
-    rest(i) = if (b + 1 < k) dTmp(order(b + 1).intValue) else Double.PositiveInfinity
-    m.boundUpdate += 2
-    reassign(i, best)
+    rest(i) = if (b + 1 < k) dTmp(b + 1) else Double.PositiveInfinity
+    blk.m.boundUpdate += 2
+    blk.reassign(i, best)
   }
 }

@@ -38,21 +38,25 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
   override protected def reportRadii: Boolean = tighterDrift
   override protected def ubOf(i: Int): Double = ub(i)
 
-  override protected def seedAll(info: CentroidInfo): Unit = {
+  protected type Ctx = Block
+  protected def newBlock(): Block = new Block
+
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
     val cc = info.cc
-    var i = 0
-    while (i < n) {
+    val m = b.m
+    var i = from
+    while (i < until) {
       val x = points(i)
       val base = i * k
       var best = 0
-      var bd = cdist(x, cs(0))
+      var bd = b.cdist(x, cs(0))
       lb(base) = bd
       var j = 1
       while (j < k) {
         // Inter-bound: if ½·cc(best,j) ≥ ub then c_j cannot win; lb via triangle.
         if (0.5 * cc(best)(j) < bd) {
-          val dd = cdist(x, cs(j))
+          val dd = b.cdist(x, cs(j))
           lb(base + j) = dd
           if (dd < bd) { bd = dd; best = j }
         } else {
@@ -62,15 +66,16 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
         j += 1
       }
       ub(i) = bd
-      reassign(i, best)
+      b.reassign(i, best)
       i += 1
     }
   }
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
     val cc = info.cc
     val sc = info.sc
+    val m = b.m
     val drifts = info.drifts
     // Drift variant: δ(j) = min(drift(j), radius(j)) — still an upper bound
     // on how far c_j moved, computed via the norm path for the extra cost.
@@ -82,8 +87,8 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
         math.min(drifts(j), cap)
       }
 
-    var i = 0
-    while (i < n) {
+    var i = from
+    while (i < until) {
       val x = points(i)
       val base = i * k
       var a = assign(i)
@@ -100,12 +105,12 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
             m.boundAccess += 1
             if (ub(i) > lb(base + j) && ub(i) > 0.5 * cc(a)(j)) {
               if (!tight) {
-                ub(i) = cdist(x, cs(a))
+                ub(i) = b.cdist(x, cs(a))
                 lb(base + a) = ub(i)
                 tight = true
               }
               if (ub(i) > lb(base + j) && ub(i) > 0.5 * cc(a)(j)) {
-                val dd = cdist(x, cs(j))
+                val dd = b.cdist(x, cs(j))
                 lb(base + j) = dd
                 if (dd < ub(i)) { a = j; ub(i) = dd }
               }
@@ -114,7 +119,7 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
           j += 1
         }
       }
-      reassign(i, a)
+      b.reassign(i, a)
       i += 1
     }
   }

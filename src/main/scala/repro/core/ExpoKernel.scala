@@ -20,7 +20,7 @@ final class ExpoState(points: Array[Array[Double]], k: Int)
     extends HamerlyState(points, k) {
 
   /** Scans the Exponion ball around the assigned centroid. */
-  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit = {
     val cs = info.centroids
     val a = assign(i)
     val ubT = ub(i) // already tightened to the exact distance d(x, c_a)
@@ -39,7 +39,7 @@ final class ExpoState(points: Array[Array[Double]], k: Int)
       val c = cca(j)
       if (c > seenMax) seenMax = c
       if (c <= radius) {
-        val dd = cdist(x, cs(j))
+        val dd = b.cdist(x, cs(j))
         if (dd < d1) { d2 = d1; d1 = dd; best = j }
         else if (dd < d2) d2 = dd
       }
@@ -49,7 +49,7 @@ final class ExpoState(points: Array[Array[Double]], k: Int)
     val outsideLb = ubT + no
     ub(i) = d1
     lb(i) = math.min(d2, outsideLb)
-    m.boundUpdate += 2
-    reassign(i, best)
+    b.m.boundUpdate += 2
+    b.reassign(i, best)
   }
 }

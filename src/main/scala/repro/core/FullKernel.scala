@@ -35,24 +35,32 @@ final class FullState(points: Array[Array[Double]], k: Int)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
-  override protected def seedAll(info: CentroidInfo): Unit = {
+  protected type Ctx = Block
+  protected def newBlock(): Block = new Block
+
+  /** The group count is fixed by the state's first step. */
+  override protected def prelude(info: CentroidInfo): Option[Block] = {
+    if (glb == null) { t = info.groups.nGroups; glb = new Array[Double](n * t) }
+    None
+  }
+
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val gi = info.groups
-    t = gi.nGroups
-    glb = new Array[Double](n * t)
     val cs = info.centroids
     val cc = info.cc
-    var i = 0
-    while (i < n) {
+    val m = b.m
+    var i = from
+    while (i < until) {
       val x = points(i)
       val base = i * k
       val gbase = i * t
       var best = 0
-      var bd = cdist(x, cs(0))
+      var bd = b.cdist(x, cs(0))
       lb(base) = bd
       var j = 1
       while (j < k) {
         if (0.5 * cc(best)(j) < bd) {
-          val dd = cdist(x, cs(j))
+          val dd = b.cdist(x, cs(j))
           lb(base + j) = dd
           if (dd < bd) { bd = dd; best = j }
         } else lb(base + j) = cc(best)(j) - bd
@@ -69,17 +77,18 @@ final class FullState(points: Array[Array[Double]], k: Int)
         m.boundUpdate += 1
         j += 1
       }
-      reassign(i, best)
+      b.reassign(i, best)
       i += 1
     }
   }
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val gi = info.groups
     val cs = info.centroids
     val cc = info.cc
-    var i = 0
-    while (i < n) {
+    val m = b.m
+    var i = from
+    while (i < until) {
       val x = points(i)
       val base = i * k
       val gbase = i * t
@@ -109,14 +118,14 @@ final class FullState(points: Array[Array[Double]], k: Int)
               if (j2 != a) {
                 m.boundAccess += 2
                 if (ub(i) > lb(base + j2) && ub(i) > 0.5 * cc(a)(j2)) {
-                  if (!tight) { ub(i) = cdist(x, cs(a)); lb(base + a) = ub(i); tight = true }
+                  if (!tight) { ub(i) = b.cdist(x, cs(a)); lb(base + a) = ub(i); tight = true }
                   if (ub(i) > lb(base + j2) && ub(i) > 0.5 * cc(a)(j2)) {
                     // block-vector prefilter before the exact distance
                     val bv = Geometry.blockLb(xNormSq(i), xB1(i), xB2(i),
                       info.normSq(j2), info.blockB1(j2), info.blockB2(j2))
                     m.boundAccess += 1
                     if (bv < ub(i)) {
-                      val dd = cdist(x, cs(j2))
+                      val dd = b.cdist(x, cs(j2))
                       lb(base + j2) = dd; m.boundUpdate += 1
                       if (dd < ub(i)) { a = j2; ub(i) = dd }
                     } else if (bv > lb(base + j2)) {
@@ -145,7 +154,7 @@ final class FullState(points: Array[Array[Double]], k: Int)
           g += 1
         }
       }
-      reassign(i, a)
+      b.reassign(i, a)
       i += 1
     }
   }

@@ -28,24 +28,28 @@ abstract class HamerlyState(points: Array[Array[Double]], k: Int)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
+  protected type Ctx = Block
+  protected def newBlock(): Block = new Block
+
   /** Point i's scan on the state's first step: sets ub, lb and the cluster. */
-  protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo): Unit =
-    fullScan(i, x, info.centroids)
+  protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit =
+    fullScan(i, x, info.centroids, b)
 
   /** Point i's scan after both tests failed; ub(i) is the exact d(x, c_a).
     * Sets ub, lb and the cluster.
     */
-  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit
 
-  override protected def seedAll(info: CentroidInfo): Unit = {
-    var i = 0
-    while (i < n) { seedScan(i, points(i), info); i += 1 }
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
+    var i = from
+    while (i < until) { seedScan(i, points(i), info, b); i += 1 }
   }
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
-    var i = 0
-    while (i < n) {
+    val m = b.m
+    var i = from
+    while (i < until) {
       val a = assign(i)
       ub(i) += info.drifts(a)
       lb(i) -= info.maxDriftOther(a)
@@ -53,32 +57,32 @@ abstract class HamerlyState(points: Array[Array[Double]], k: Int)
       val thr = math.max(lb(i), info.sc(a))
       if (thr < ub(i)) {
         val x = points(i)
-        ub(i) = cdist(x, cs(a)) // tighten
-        if (thr < ub(i)) rescan(i, x, info)
+        ub(i) = b.cdist(x, cs(a)) // tighten
+        if (thr < ub(i)) rescan(i, x, info, b)
       }
       i += 1
     }
   }
 
   /** Scan all k centroids; set ub = nearest, lb = second nearest. */
-  protected final def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]]): Unit = {
+  protected final def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]], b: Block): Unit = {
     var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
     var j = 0
     while (j < k) {
-      val dd = cdist(x, cs(j))
+      val dd = b.cdist(x, cs(j))
       if (dd < d1) { d2 = d1; d1 = dd; best = j }
       else if (dd < d2) d2 = dd
       j += 1
     }
     ub(i) = d1; lb(i) = d2
-    m.boundUpdate += 2
-    reassign(i, best)
+    b.m.boundUpdate += 2
+    b.reassign(i, best)
   }
 }
 
 final class HameState(points: Array[Array[Double]], k: Int)
     extends HamerlyState(points, k) {
 
-  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit =
-    fullScan(i, x, info.centroids)
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit =
+    fullScan(i, x, info.centroids, b)
 }

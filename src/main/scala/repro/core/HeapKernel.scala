@@ -22,12 +22,19 @@ final class HeapState(points: Array[Array[Double]], k: Int)
   private val heapPt = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
   private val offset = new Array[Double](k)
 
-  override protected def seedAll(info: CentroidInfo): Unit = {
-    var i = 0
-    while (i < n) { scanAndPush(i, info.centroids); i += 1 }
+  // The heaps span points: one block over [0, n).
+  override protected def blocked: Boolean = false
+
+  protected type Ctx = Block
+  protected def newBlock(): Block = new Block
+
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
+    var i = from
+    while (i < until) { scanAndPush(i, info.centroids, b); i += 1 }
   }
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  /** Walks every cluster's heap, so [from, until) is always [0, n). */
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
     var j = 0
     while (j < k) {
@@ -39,11 +46,11 @@ final class HeapState(points: Array[Array[Double]], k: Int)
       // Pop while the corrected gap can be negative (bound violated).
       var go = true
       while (go && heapKey(j).nonEmpty) {
-        m.boundAccess += 1
+        b.m.boundAccess += 1
         if (heapKey(j)(0) - offset(j) < 0) {
           val i = heapPt(j)(0)
           pop(j)
-          scanAndPush(i, cs)
+          scanAndPush(i, cs, b)
         } else go = false
       }
       j += 1
@@ -51,19 +58,19 @@ final class HeapState(points: Array[Array[Double]], k: Int)
   }
 
   /** Full scan of point i; push its new gap into its cluster's heap. */
-  private def scanAndPush(i: Int, cs: Array[Array[Double]]): Unit = {
+  private def scanAndPush(i: Int, cs: Array[Array[Double]], b: Block): Unit = {
     val x = points(i)
     var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
     var j = 0
     while (j < k) {
-      val dd = cdist(x, cs(j))
+      val dd = b.cdist(x, cs(j))
       if (dd < d1) { d2 = d1; d1 = dd; best = j }
       else if (dd < d2) d2 = dd
       j += 1
     }
-    reassign(i, best)
+    b.reassign(i, best)
     push(best, (d2 - d1) + offset(best), i)
-    m.boundUpdate += 1
+    b.m.boundUpdate += 1
   }
 
   private def push(j: Int, key: Double, pt: Int): Unit = {

@@ -6,6 +6,11 @@ import scala.util.Random
   * the paper's default (Section 7.1); `random` is kept for the Figure-16
   * style sensitivity check. Init distance computations are NOT counted in
   * kernel metrics — all compared methods share the same init.
+  *
+  * k-means++ updates each point's distance to the nearest chosen centre in
+  * parallel `Blocks`; the total, the sampling walk and the duplicate probe
+  * run in point order on the calling thread, so the chosen centres do not
+  * depend on the number of blocks.
   */
 object Init {
 
@@ -27,14 +32,17 @@ object Init {
     val minSq = Array.fill(n)(Double.PositiveInfinity)
     while (centers.size < math.min(k, n)) {
       val last = centers.last
+      Blocks.foreach(n) { (from, until) =>
+        var i = from
+        while (i < until) {
+          val d = Geometry.distSq(points(i), last)
+          if (d < minSq(i)) minSq(i) = d
+          i += 1
+        }
+      }
       var total = 0.0
       var i = 0
-      while (i < n) {
-        val d = Geometry.distSq(points(i), last)
-        if (d < minSq(i)) minSq(i) = d
-        total += minSq(i)
-        i += 1
-      }
+      while (i < n) { total += minSq(i); i += 1 }
       var next =
         if (total <= 0.0) rnd.nextInt(n)
         else {

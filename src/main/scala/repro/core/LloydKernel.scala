@@ -16,20 +16,23 @@ final class LloydState(points: Array[Array[Double]], k: Int)
 
   override protected def incrementalRefine: Boolean = false
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  protected type Ctx = Block
+  protected def newBlock(): Block = new Block
+
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
-    var i = 0
-    while (i < n) {
+    var i = from
+    while (i < until) {
       val x = points(i)
       var best = 0
-      var bd = cdist(x, cs(0))
+      var bd = b.cdist(x, cs(0))
       var j = 1
       while (j < k) {
-        val dd = cdist(x, cs(j))
+        val dd = b.cdist(x, cs(j))
         if (dd < bd) { bd = dd; best = j }
         j += 1
       }
-      reassign(i, best)
+      b.reassign(i, best)
       i += 1
     }
   }

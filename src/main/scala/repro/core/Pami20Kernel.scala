@@ -21,40 +21,43 @@ final class Pami20State(points: Array[Array[Double]], k: Int)
   override protected def reportRadii: Boolean = true
   override protected def ubOf(i: Int): Double = ub(i)
 
-  override protected def seedAll(info: CentroidInfo): Unit = {
+  protected type Ctx = Block
+  protected def newBlock(): Block = new Block
+
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
-    var i = 0
-    while (i < n) {
+    var i = from
+    while (i < until) {
       val x = points(i)
-      var best = 0; var d1 = cdist(x, cs(0))
+      var best = 0; var d1 = b.cdist(x, cs(0))
       var j = 1
       while (j < k) {
-        val dd = cdist(x, cs(j))
+        val dd = b.cdist(x, cs(j))
         if (dd < d1) { d1 = dd; best = j }
         j += 1
       }
       ub(i) = d1
-      reassign(i, best)
+      b.reassign(i, best)
       i += 1
     }
   }
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
-    var i = 0
-    while (i < n) {
+    var i = from
+    while (i < until) {
       val x = points(i)
       val cand = info.candidates(assign(i))
       var best = -1; var d1 = Double.PositiveInfinity
       var z = 0
       while (z < cand.length) {
         val j = cand(z)
-        val dd = cdist(x, cs(j))
+        val dd = b.cdist(x, cs(j))
         if (dd < d1) { d1 = dd; best = j }
         z += 1
       }
       ub(i) = d1
-      reassign(i, best)
+      b.reassign(i, best)
       i += 1
     }
   }

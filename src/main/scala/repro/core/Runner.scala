@@ -37,17 +37,22 @@ final case class FitResult(
   * radii, ...), hands it to a step that runs assignment and refinement over
   * all partition states and returns their merged `Partials`, and turns the
   * merged sums into the next centroids, until no point moves or `maxIters`.
-  * `fitLocal` steps one in-memory partition, which keeps the timed benches
-  * free of scheduler noise; `repro.spark.SparkKMeans` steps cached partition
-  * states on executors.
+  * `fitLocal` steps one in-memory partition on one thread (`Blocks.oneThread`),
+  * the paper's setting: the timed benches and UTune's ground truth compare
+  * algorithms, not how well each one's assignment spreads over cores (Heap,
+  * KdTree and UniK's cluster pass stay serial). `fitStates` and
+  * `repro.spark.SparkKMeans` (cached partition states on executors) run each
+  * state's point blocks on the common ForkJoin pool, see `SequentialState`.
   */
 object Runner {
 
   def fitLocal(strategy: Strategy, points: Array[Array[Double]], k: Int,
                init: Array[Array[Double]], maxIters: Int = 10,
                seed: Long = 17L): FitResult = {
-    val state = strategy.newState(points, k, seed)
-    fitStates(strategy, Seq(state), ps => ps.head.step(_: CentroidInfo), k, init, maxIters, seed)
+    Blocks.oneThread {
+      val state = strategy.newState(points, k, seed)
+      fitStates(strategy, Seq(state), ps => ps.head.step(_: CentroidInfo), k, init, maxIters, seed)
+    }
   }
 
   /** Driver over any collection of partition states with a supplied

@@ -81,9 +81,21 @@ object PointState {
   * iteration: `step` calls `seedAll` the first time and `assignAll` on
   * every later call, so a state rebuilt mid-run (a recomputed Spark
   * partition) starts from exact bounds. Kernels without bounds keep the
-  * default `seedAll = assignAll`. Both call `reassign(i, j)` for every
+  * default `seedAll = assignAll`. Both call `b.reassign(i, j)` for every
   * point (also when j is unchanged — reassign only records a move when the
   * cluster actually changes).
+  *
+  * Both run over one contiguous range of points with one `Block`: the
+  * range's counters, movers and the kernel's scratch. `step` cuts the
+  * points into `Blocks.count(n)` ranges and runs them on the common
+  * ForkJoin pool (inside `Blocks.oneThread`, as in `Runner.fitLocal`,
+  * there is one); per-point state (`assign`, bounds) is disjoint between
+  * ranges, and anything shared is only read. Afterwards the blocks'
+  * counters are added into `m` and their movers are refined in block
+  * order, which is point order, so sums, counts and counters are
+  * bit-identical to one block over [0, n). Sequential work that must
+  * precede the blocks (allocation on the first step, Search's range
+  * searches) goes in `prelude`.
   */
 abstract class SequentialState(points: Array[Array[Double]], k: Int)
     extends PointState(points, k) {
@@ -94,6 +106,11 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
   /** Pami20/Drift: report per-cluster max distance upper bound. */
   protected def reportRadii: Boolean = false
 
+  /** Heap sets this false: its per-cluster heaps span points, so it runs
+    * as one block over [0, n).
+    */
+  protected def blocked: Boolean = true
+
   /** Distance upper bound of point i to its assigned centroid (only needed
     * when `reportRadii`; must be valid after `seedAll` and `assignAll`).
     */
@@ -102,33 +119,59 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
   protected val sums: Array[Array[Double]] = Array.ofDim[Double](k, math.max(d, 1))
   protected val counts: Array[Long] = new Array[Long](k)
 
-  private val moverIdx = new ArrayBuffer[Int]
-  private val moverFrom = new ArrayBuffer[Int]
   private var seeded = false
 
-  /** Assignment on the state's first step: no bound is stored yet. */
-  protected def seedAll(info: CentroidInfo): Unit = assignAll(info)
+  /** One range's counters and movers; a kernel with scratch extends it. */
+  protected class Block {
+    final val m = new Metrics
+    private[SequentialState] val moverIdx = new ArrayBuffer[Int]
+    private[SequentialState] val moverFrom = new ArrayBuffer[Int]
 
-  /** Assignment on every later step, from the bounds stored so far. */
-  protected def assignAll(info: CentroidInfo): Unit
+    /** Counted distance from a data point to a centroid. */
+    @inline final def cdist(x: Array[Double], c: Array[Double]): Double = {
+      m.dist += 1; m.pointAccess += 1
+      Geometry.dist(x, c)
+    }
 
-  /** Counted distance from a data point to a centroid. */
-  @inline protected final def cdist(x: Array[Double], c: Array[Double]): Double = {
-    m.dist += 1; m.pointAccess += 1
-    Geometry.dist(x, c)
+    @inline final def reassign(i: Int, j: Int): Unit = {
+      val old = assign(i)
+      if (old != j) { moverIdx += i; moverFrom += old; assign(i) = j }
+    }
   }
 
-  @inline protected final def reassign(i: Int, j: Int): Unit = {
-    val old = assign(i)
-    if (old != j) { moverIdx += i; moverFrom += old; assign(i) = j }
-  }
+  /** The kernel's block type and a fresh one (called once per block and step). */
+  protected type Ctx <: Block
+  protected def newBlock(): Ctx
+
+  /** Sequential work before the blocks of every step. Returns the block
+    * its counters and movers went to, if any; its movers come first.
+    */
+  protected def prelude(info: CentroidInfo): Option[Ctx] = None
+
+  /** Assignment of points [from, until) on the state's first step: no
+    * bound is stored yet.
+    */
+  protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Ctx): Unit =
+    assignAll(info, from, until, b)
+
+  /** Assignment of points [from, until) on every later step, from the
+    * bounds stored so far.
+    */
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Ctx): Unit
 
   def step(info: CentroidInfo): Partials = {
-    moverIdx.clear(); moverFrom.clear()
     val t0 = System.nanoTime()
-    if (seeded) assignAll(info) else { seedAll(info); seeded = true }
+    val seeding = !seeded
+    val lead: Option[Block] = prelude(info)
+    val blocks = lead ++: Blocks.map[Block](n, if (blocked) Blocks.count(n) else 1) { (from, until) =>
+      val b = newBlock()
+      if (seeding) seedAll(info, from, until, b) else assignAll(info, from, until, b)
+      b
+    }
+    seeded = true
+    blocks.foreach(b => m.add(b.m))
     val t1 = System.nanoTime()
-    refine()
+    refine(blocks)
     val t2 = System.nanoTime()
     val maxUb =
       if (!reportRadii) null
@@ -142,15 +185,15 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
         }
         r
       }
-    new Partials(Geometry.copy2(sums), counts.clone(), maxUb, moverIdx.length.toLong,
+    new Partials(Geometry.copy2(sums), counts.clone(), maxUb, blocks.map(_.moverIdx.length.toLong).sum,
       n.toLong, m.snapshot(), t1 - t0, t2 - t1)
   }
 
   /** Refinement = maintaining the per-cluster sum vectors. Incremental mode
-    * touches movers only (Section 5.1.2); full mode rescans the partition
-    * (classic Lloyd refinement, n data accesses).
+    * touches movers only (Section 5.1.2), block by block; full mode rescans
+    * the partition (classic Lloyd refinement, n data accesses).
     */
-  private def refine(): Unit = {
+  private def refine(blocks: Array[Block]): Unit = {
     if (!incrementalRefine) {
       var j = 0
       while (j < k) { java.util.Arrays.fill(sums(j), 0.0); counts(j) = 0; j += 1 }
@@ -161,14 +204,16 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
       }
       m.pointAccess += n
     } else {
-      var z = 0
-      while (z < moverIdx.length) {
-        val i = moverIdx(z); val from = moverFrom(z)
-        val x = points(i)
-        if (from >= 0) { Geometry.subFrom(sums(from), x); counts(from) -= 1 }
-        Geometry.addTo(sums(assign(i)), x); counts(assign(i)) += 1
-        m.pointAccess += 1
-        z += 1
+      for (b <- blocks) {
+        var z = 0
+        while (z < b.moverIdx.length) {
+          val i = b.moverIdx(z); val from = b.moverFrom(z)
+          val x = points(i)
+          if (from >= 0) { Geometry.subFrom(sums(from), x); counts(from) -= 1 }
+          Geometry.addTo(sums(assign(i)), x); counts(assign(i)) += 1
+          m.pointAccess += 1
+          z += 1
+        }
       }
     }
   }

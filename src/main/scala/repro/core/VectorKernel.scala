@@ -29,15 +29,16 @@ final class VectorState(points: Array[Array[Double]], k: Int)
     }
   }
 
-  override protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo): Unit =
-    rescan(i, x, info)
+  override protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit =
+    rescan(i, x, info, b)
 
   /** Full scan with the block-vector bound as a per-centroid prefilter.
     * A centroid is skipped only when its block bound exceeds the running
     * second-best distance (so both d1 and d2 stay exact for ub/lb).
     */
-  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo): Unit = {
+  protected def rescan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit = {
     val cs = info.centroids
+    val m = b.m
     var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
     var j = 0
     while (j < k) {
@@ -45,7 +46,7 @@ final class VectorState(points: Array[Array[Double]], k: Int)
       val bv = Geometry.blockLb(xNormSq(i), xB1(i), xB2(i),
         info.normSq(j), info.blockB1(j), info.blockB2(j))
       if (bv < d2) {
-        val dd = cdist(x, cs(j))
+        val dd = b.cdist(x, cs(j))
         if (dd < d1) { d2 = d1; d1 = dd; best = j }
         else if (dd < d2) d2 = dd
       }
@@ -53,6 +54,6 @@ final class VectorState(points: Array[Array[Double]], k: Int)
     }
     ub(i) = d1; lb(i) = d2
     m.boundUpdate += 2
-    reassign(i, best)
+    b.reassign(i, best)
   }
 }

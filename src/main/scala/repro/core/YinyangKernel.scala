@@ -34,23 +34,31 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
-  // scratch: per-group best/second-best distance seen this point
-  private var gMin: Array[Double] = null
-  private var gMinIdx: Array[Int] = null
-  private var gMin2: Array[Double] = null
-  private var gScanned: Array[Boolean] = null
-  private var remapBuf: Array[Double] = null
+  /** A block's scratch: per group, the best and second-best distance seen
+    * for the current point.
+    */
+  protected final class Ctx extends Block {
+    val gMin = new Array[Double](t)
+    val gMinIdx = new Array[Int](t)
+    val gMin2 = new Array[Double](t)
+    val gScanned = new Array[Boolean](t)
+    val remapBuf = new Array[Double](t)
+  }
+  protected def newBlock(): Ctx = new Ctx
 
-  override protected def seedAll(info: CentroidInfo): Unit = {
+  /** The group count is fixed by the state's first step. */
+  override protected def prelude(info: CentroidInfo): Option[Ctx] = {
+    if (glb == null) { t = info.groups.nGroups; glb = new Array[Double](n * t) }
+    None
+  }
+
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Ctx): Unit = {
     val cs = info.centroids
     val gi = info.groups
-    t = gi.nGroups
-    glb = new Array[Double](n * t)
-    gMin = new Array[Double](t); gMinIdx = new Array[Int](t); gMin2 = new Array[Double](t)
-    gScanned = new Array[Boolean](t)
-    remapBuf = new Array[Double](t)
-    var i = 0
-    while (i < n) {
+    val m = b.m
+    val gMin = b.gMin; val gMinIdx = b.gMinIdx; val gMin2 = b.gMin2
+    var i = from
+    while (i < until) {
       val x = points(i)
       val base = i * t
       var g = 0
@@ -58,7 +66,7 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
       var best = -1; var d1 = Double.PositiveInfinity
       var j = 0
       while (j < k) {
-        val dd = cdist(x, cs(j))
+        val dd = b.cdist(x, cs(j))
         val gg = gi.of(j)
         if (dd < gMin(gg)) { gMin2(gg) = gMin(gg); gMin(gg) = dd; gMinIdx(gg) = j }
         else if (dd < gMin2(gg)) gMin2(gg) = dd
@@ -72,17 +80,20 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
         m.boundUpdate += 1
         g += 1
       }
-      reassign(i, best)
+      b.reassign(i, best)
       i += 1
     }
   }
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Ctx): Unit = {
     val cs = info.centroids
     val gi = info.groups
     val remap = gi.remapFrom
-    var i = 0
-    while (i < n) {
+    val m = b.m
+    val gMin = b.gMin; val gMinIdx = b.gMinIdx; val gMin2 = b.gMin2
+    val gScanned = b.gScanned; val remapBuf = b.remapBuf
+    var i = from
+    while (i < until) {
       val x = points(i)
       val base = i * t
       var a = assign(i)
@@ -92,10 +103,10 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
         var g = 0
         while (g < t) {
           var v = Double.PositiveInfinity
-          val from = remap(g)
+          val olds = remap(g)
           var z = 0
-          while (z < from.length) {
-            val old = glb(base + from(z))
+          while (z < olds.length) {
+            val old = glb(base + olds(z))
             if (old < v) v = old
             m.boundAccess += 1
             z += 1
@@ -118,7 +129,7 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
       }
 
       if (globalLb < ub(i)) {
-        ub(i) = cdist(x, cs(a)) // tighten
+        ub(i) = b.cdist(x, cs(a)) // tighten
         if (globalLb < ub(i)) {
           val aOld = a
           val dAOld = ub(i)
@@ -135,7 +146,7 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
               while (z < mem.length) {
                 val j = mem(z)
                 if (j != aOld) {
-                  val dd = cdist(x, cs(j))
+                  val dd = b.cdist(x, cs(j))
                   if (dd < gMin(g2)) { gMin2(g2) = gMin(g2); gMin(g2) = dd; gMinIdx(g2) = j }
                   else if (dd < gMin2(g2)) gMin2(g2) = dd
                   if (dd < d1) { d1 = dd; best = j }
@@ -169,7 +180,7 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
           a = best
         }
       }
-      reassign(i, a)
+      b.reassign(i, a)
       i += 1
     }
   }

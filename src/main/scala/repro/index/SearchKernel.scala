@@ -24,35 +24,46 @@ final class SearchState(points: Array[Array[Double]], k: Int, seed: Long)
 
   private val done = new Array[Boolean](n)
 
-  protected def assignAll(info: CentroidInfo): Unit = {
+  protected type Ctx = Block
+  protected def newBlock(): Block = new Block
+
+  /** The k range searches, one centroid after another. */
+  override protected def prelude(info: CentroidInfo): Option[Block] = {
+    val b = newBlock()
     val cs = info.centroids
     java.util.Arrays.fill(done, false)
     var j = 0
     while (j < k) {
       val thr = 0.5 * info.nearestOther(j)
       if (thr > 0 && !thr.isInfinity) {
-        val hits = tree.rangeSearch(cs(j), thr, () => m.nodeAccess += 1, () => m.dist += 1)
+        val hits = tree.rangeSearch(cs(j), thr, () => b.m.nodeAccess += 1, () => b.m.dist += 1)
         var z = 0
         while (z < hits.length) {
           val i = hits(z)
-          if (!done(i)) { done(i) = true; reassign(i, j) }
+          if (!done(i)) { done(i) = true; b.reassign(i, j) }
           z += 1
         }
       }
       j += 1
     }
-    var i = 0
-    while (i < n) {
+    Some(b)
+  }
+
+  /** The Lloyd scan of the points no range search assigned. */
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
+    val cs = info.centroids
+    var i = from
+    while (i < until) {
       if (!done(i)) {
         val x = points(i)
-        var best = 0; var bd = cdist(x, cs(0))
+        var best = 0; var bd = b.cdist(x, cs(0))
         var j2 = 1
         while (j2 < k) {
-          val dd = cdist(x, cs(j2))
+          val dd = b.cdist(x, cs(j2))
           if (dd < bd) { bd = dd; best = j2 }
           j2 += 1
         }
-        reassign(i, best)
+        b.reassign(i, best)
       }
       i += 1
     }

@@ -15,7 +15,10 @@ import repro.index.{BallNode, BallTree, CandidateFilter}
   * Traversal knobs (Section 5.3): `Multiple` re-enters the tree from the
   * root every iteration; `Single` keeps the surviving objects in their
   * clusters and drift-updates their bounds; `Adaptive` times its first
-  * step (root) against its second (clusters) and keeps the winner.
+  * step (root) against its second (clusters) and keeps the winner. Root
+  * passes, seeding or not, fork their subtrees onto the ForkJoin pool
+  * (`CandidateFilter`); the cluster pass runs on the calling thread. So each
+  * timed step runs with the threading of the traversal it stands for.
   */
 sealed trait UniKMode
 object UniKMode {
@@ -129,6 +132,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
   // ------------------------------------------------------------------
   // Root pass: the shared candidate-filtering traversal, seeding bounds and
   // object lists on the state's first step (only a cluster pass reads them).
+  // Subtrees seed their own nodes' and points' bounds concurrently; the
+  // object lists are filled after the join, in depth-first order.
   // ------------------------------------------------------------------
   private def rootTraversal(info: CentroidInfo): Unit = {
     val seeding = steps == 1
@@ -151,7 +156,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
   private final class Seeding(gi: GroupInfo) extends CandidateFilter.Seeder {
     java.util.Arrays.fill(nodeGlb, tree.root.id * t, tree.root.id * t + t, Double.PositiveInfinity)
 
-    def node(nd: BallNode, cand: Array[Int], dist: Array[Double], best: Int, d1: Double): Unit = {
+    def node(nd: BallNode, cand: Array[Int], dist: Array[Double], best: Int, d1: Double,
+             m: Metrics): Unit = {
       nodeUb(nd.id) = d1
       var c = 0
       while (c < cand.length) {
@@ -159,7 +165,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
         c += 1
       }
       m.boundUpdate += t
-      lists(best) += (nd.id + 1)
     }
 
     def split(nd: BallNode, cand: Array[Int], dist: Array[Double], thr: Double): Unit = {
@@ -176,7 +181,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
       while (g < t) { nodeGlb(child.id * t + g) = nodeGlb(nd.id * t + g) - child.psi; g += 1 }
     }
 
-    def point(i: Int, leaf: BallNode, kept: Array[Int], distSq: Array[Double], b: Int): Unit = {
+    def point(i: Int, leaf: BallNode, kept: Array[Int], distSq: Array[Double], b: Int,
+              m: Metrics): Unit = {
       // the leaf's carry degrades to the point by its own ψ (Eq. 12, r = 0)
       var g = 0
       while (g < t) { ptGlb(i * t + g) = nodeGlb(leaf.id * t + g) - tree.pointPsi(i); g += 1 }
@@ -187,8 +193,14 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
       }
       ptUb(i) = math.sqrt(distSq(b))
       m.boundUpdate += t
-      lists(kept(b)) += -(i + 1)
     }
+
+    def placed(nd: BallNode, to: Int): Unit =
+      if (to >= 0) lists(to) += (nd.id + 1)
+      else {
+        var z = nd.start
+        while (z < nd.end) { val i = tree.perm(z); lists(assign(i)) += -(i + 1); z += 1 }
+      }
 
     private def lower(store: Array[Double], base: Int, j: Int, v: Double): Unit = {
       val at = base + gi.of(j)

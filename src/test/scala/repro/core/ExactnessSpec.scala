@@ -143,4 +143,121 @@ class ExactnessSpec extends AnyFunSuite {
     assert(pinned == Strategies.byName.keySet - "UniK" ++
       Seq("Index-HKT", "Index-M-tree", "Index-Cover-tree"))
   }
+
+  // A fixture of several `Blocks`: sequential states assign it in parallel
+  // point ranges and INDE forks its subtrees. Every counter and the bits of
+  // every final centroid must be those of a single-threaded run.
+  private lazy val blockPts = TestData.mixture(6000, 8, 40, 0.05, 41L)
+  private lazy val blockInit = Init.kmeansPlusPlus(blockPts, 60, 42L)
+
+  /** Order-sensitive hash of the bit patterns of all centroid coordinates. */
+  private def bitsHash(cs: Array[Array[Double]]): Long =
+    cs.flatten.foldLeft(17L)((h, v) => h * 1000003L ^ java.lang.Double.doubleToLongBits(v))
+
+  private val blockPins: Seq[(Strategy, Int, Long, Long, Long, Long, Long, Long)] = {
+    def by(name: String) = Strategies(name)
+    def kind(k: BallTree.Kind) = new BallKMeansStrategy(k)
+    Seq(
+      //                    iters  dist      point     node    bound     boundUpd  centroid bits
+      (by("Lloyd"),         19, 6840000L, 6954000L,      0L,       0L,       0L, 0x58ee40433497ce50L),
+      (by("Elka"),          19,  136925L,  143605L,      0L, 3435055L, 6942000L, 0xa1dab9858bec6ebbL),
+      (by("Drift"),         19,  136925L,  143605L,      0L, 3435055L, 6942000L, 0xa1dab9858bec6ebbL),
+      (by("Hame"),          19, 1441809L, 1448489L,      0L,  216000L,  263274L, 0xa1dab9858bec6ebbL),
+      (by("Drak"),          19,  473939L,  480619L,      0L, 1836000L, 1938680L, 0xa1dab9858bec6ebbL),
+      (by("Yinyang"),       19,  502520L,  509200L,      0L,  721002L,  804194L, 0xa1dab9858bec6ebbL),
+      (by("Regroup"),       19,  510662L,  517342L,      0L, 1394454L, 1453786L, 0xa1dab9858bec6ebbL),
+      (by("Heap"),          19, 1703400L, 1710080L,      0L,   23470L,   28390L, 0xf9af70caefbf734fL),
+      (by("Annu"),          19,  725603L,  732283L,      0L,  216000L,  263274L, 0xa1dab9858bec6ebbL),
+      (by("Expo"),          19,  416934L,  423614L,      0L,  216000L,  263274L, 0xa1dab9858bec6ebbL),
+      (by("Vector"),        19,  911575L,  918255L,      0L, 1634220L,  263274L, 0xa1dab9858bec6ebbL),
+      (by("Pami20"),        19,  703285L,  709965L,      0L,       0L,       0L, 0xa1dab9858bec6ebbL),
+      (by("Search"),        19, 2985850L, 2716220L, 103518L,       0L,       0L, 0x69d8c1cc357b0923L),
+      (by("Full"),          19,  137029L,  143709L,      0L, 1624746L, 8141612L, 0xa1dab9858bec6ebbL),
+      (by("KdTree"),        19,  799312L,  113118L,  86295L,       0L,       0L, 0x0a5fd27537c09d8eL),
+      (Strategies.index,    19,  743931L,  474631L,   8321L,       0L,       0L, 0x7d550e6b40cce951L),
+      (kind(BallTree.HKT),  19,  678255L,  451625L,   7251L,       0L,       0L, 0xe81c7039c86081d5L),
+      (kind(BallTree.MTree), 19, 1846595L, 1417547L, 10237L,       0L,       0L, 0x5f7f31dd7f80bc7aL),
+      (kind(BallTree.Cover), 19, 7320819L, 6617405L, 11941L,       0L,       0L, 0xc863edbad48e901dL),
+      (Strategies.unikMultiple, 19, 743931L, 474631L, 8321L,       0L,   18576L, 0x7d550e6b40cce951L),
+      (Strategies.unikSingle, 19,  196612L,  179730L,    709L,  478211L,  447071L, 0x9f47b0c5ba8363a0L))
+  }
+
+  test("the block fixture spans at least 4 blocks") {
+    assert(Blocks.count(blockPts.length) >= 4)
+  }
+
+  // Each pin must hold on one thread (`fitLocal`) and on the common pool
+  // (`fitStates`, where blocks and subtrees run concurrently).
+  for ((s, iters, dist, point, node, bound, boundUpd, bits) <- blockPins) {
+    test(s"${s.name}'s counters and centroid bits are pinned on ${blockPts.length} points") {
+      val pooled = Runner.fitStates(s, Seq(s.newState(blockPts, 60, 17L)),
+        ps => ps.head.step(_: CentroidInfo), 60, blockInit, 20, 17L)
+      for (res <- Seq(Runner.fitLocal(s, blockPts, 60, blockInit, maxIters = 20), pooled)) {
+        assert(res.iterations == iters && res.converged)
+        val m = res.metrics
+        assert((m.dist, m.pointAccess, m.nodeAccess, m.boundAccess, m.boundUpdate) ==
+          ((dist, point, node, bound, boundUpd)))
+        assert(bitsHash(res.centroids) == bits, f"centroid bits hash 0x${bitsHash(res.centroids)}%016x")
+      }
+    }
+  }
+
+  test("fitLocal runs every block on one thread, also inside a nested oneThread") {
+    val seen = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+    def blocks(n: Int): Unit =
+      Blocks.map(n, 8) { (_, _) => seen.add(Thread.currentThread); Thread.sleep(2) }
+    val probe = new Strategy {
+      val name = "probe"
+      val req = Req()
+      def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState = {
+        val inner = LloydKernel.newState(points, k, seed)
+        new PartitionState {
+          def step(info: CentroidInfo): Partials = {
+            blocks(points.length)
+            Blocks.oneThread(blocks(points.length))
+            inner.step(info)
+          }
+          def finalSse(cs: Array[Array[Double]]): Double = inner.finalSse(cs)
+          def assignments: Array[Int] = inner.assignments
+        }
+      }
+    }
+    Runner.fitLocal(probe, blockPts, 60, blockInit, maxIters = 2)
+    assert(seen.size == 1 && !seen.contains(Thread.currentThread))
+  }
+
+  test("Blocks.oneThread rethrows its body's exception unwrapped") {
+    val e = intercept[IllegalArgumentException](
+      Runner.fitLocal(LloydKernel, blockPts, 60, blockInit.take(59), maxIters = 1))
+    assert(e.getMessage == "requirement failed: init has 59 centroids, expected 60")
+  }
+
+  test("the block pins cover every deterministic strategy and Ball-tree kind") {
+    assert(blockPins.map(_._1.name) == pins.map(_._1.name))
+  }
+
+  // Spark's local[2] shape: two partition states of one strategy stepped at
+  // the same time from two threads. Each must fit exactly as when the two
+  // step one after the other, so their blocks share no scratch.
+  for (s <- blockPins.map(_._1)) {
+    test(s"${s.name}: two states stepped concurrently equal their solo runs bit for bit") {
+      val halves = blockPts.grouped(blockPts.length / 2).toSeq
+      def fit(concurrent: Boolean) = {
+        val states = halves.zipWithIndex.map { case (p, i) => s.newState(p, 60, 5L + i) }
+        val pool = java.util.concurrent.Executors.newFixedThreadPool(2)
+        try {
+          val step: Seq[PartitionState] => CentroidInfo => Partials = ps => info =>
+            if (!concurrent) ps.map(_.step(info)).reduce(_ merge _)
+            else ps.map(st => pool.submit(() => st.step(info))).map(_.get).reduce(_ merge _)
+          (Runner.fitStates(s, states, step, 60, blockInit, 20, 5L), states.map(_.assignments.toSeq))
+        } finally pool.shutdown()
+      }
+      val (solo, soloAssign) = fit(concurrent = false)
+      val (both, bothAssign) = fit(concurrent = true)
+      assert(both.iterations == solo.iterations)
+      assert(both.metrics.toString == solo.metrics.toString)
+      assert(bitsHash(both.centroids) == bitsHash(solo.centroids))
+      assert(bothAssign == soloAssign)
+    }
+  }
 }

@@ -45,6 +45,63 @@ class InitSpec extends AnyFunSuite {
     assert(c.forall(x => asSet.contains(x.toSeq)))
   }
 
+  /** k-means++ as one sequential pass over the points: the reference the
+    * block-parallel update of `Init.kmeansPlusPlus` must reproduce exactly.
+    */
+  private def sequentialPlusPlus(points: Array[Array[Double]], k: Int, seed: Long): Array[Array[Double]] = {
+    val rnd = new scala.util.Random(seed)
+    val n = points.length
+    val centers = new scala.collection.mutable.ArrayBuffer[Array[Double]](k)
+    centers += points(rnd.nextInt(n)).clone
+    val minSq = Array.fill(n)(Double.PositiveInfinity)
+    while (centers.size < math.min(k, n)) {
+      val last = centers.last
+      var total = 0.0
+      var i = 0
+      while (i < n) {
+        val d = Geometry.distSq(points(i), last)
+        if (d < minSq(i)) minSq(i) = d
+        total += minSq(i)
+        i += 1
+      }
+      var next =
+        if (total <= 0.0) rnd.nextInt(n)
+        else {
+          var target = rnd.nextDouble() * total
+          var idx = 0
+          while (idx < n - 1 && target > minSq(idx)) { target -= minSq(idx); idx += 1 }
+          idx
+        }
+      if (minSq(next) == 0.0) {
+        var probe = 0
+        while (probe < n && minSq(probe) == 0.0) probe += 1
+        if (probe < n) next = probe
+      }
+      centers += points(next).clone
+    }
+    val base = centers.toArray
+    if (base.length >= k) base.take(k)
+    else base ++ Array.fill(k - base.length)(points(rnd.nextInt(points.length)).clone)
+  }
+
+  private def sameBits(a: Array[Array[Double]], b: Array[Array[Double]]): Boolean =
+    a.length == b.length && a.zip(b).forall { case (x, y) =>
+      x.map(java.lang.Double.doubleToLongBits).sameElements(y.map(java.lang.Double.doubleToLongBits))
+    }
+
+  test("kmeans++ over several blocks equals the sequential pass bit for bit") {
+    val big = TestData.mixture(5000, 6, 20, 0.05, 43L)
+    assert(Blocks.count(big.length) > 1)
+    for (seed <- Seq(44L, 45L))
+      assert(sameBits(Init.kmeansPlusPlus(big, 50, seed), sequentialPlusPlus(big, 50, seed)))
+  }
+
+  test("kmeans++ over all-duplicate points (total 0) equals the sequential pass") {
+    val same = Array.fill(3000)(Array(0.25, -1.5, 3.0))
+    assert(Blocks.count(same.length) > 1)
+    assert(sameBits(Init.kmeansPlusPlus(same, 6, 9L), sequentialPlusPlus(same, 6, 9L)))
+  }
+
   test("centroids are defensive copies") {
     val c = Init.kmeansPlusPlus(pts, 3, 1L)
     val before = c(0)(0)

@@ -52,6 +52,27 @@ class SparkKMeansSpec extends SparkSpec {
     assert(dist.metrics.boundAccess == local.metrics.boundAccess)
   }
 
+  // An oracle outside this code base: stock spark.mllib KMeans from the same
+  // init, with epsilon 0 so that it stops only when no centre moves. MLlib
+  // computes distances through cached norms and sums its partitions in its
+  // own order, so centroids agree to 1e-9, not bit for bit; a point that
+  // broke a tie the other way would move a centroid by far more.
+  test("SparkKMeans centroids agree with stock spark.mllib KMeans") {
+    import org.apache.spark.mllib.clustering.{KMeans => MLlibKMeans, KMeansModel}
+    import org.apache.spark.mllib.linalg.Vectors
+    val vectors = spark.sparkContext.parallelize(pts.toSeq, 4).map(p => Vectors.dense(p)).cache()
+    val mllib = try {
+      new MLlibKMeans().setK(k).setMaxIterations(8).setEpsilon(0.0)
+        .setInitialModel(new KMeansModel(init.map(c => Vectors.dense(c))))
+        .run(vectors).clusterCenters.map(_.toArray)
+    } finally vectors.unpersist(blocking = true)
+    for (s <- Seq(LloydKernel, YinyangKernel, Strategies.index, Strategies.unikMultiple)) {
+      val ours = sparkFit(s, 4).centroids
+      for ((a, b) <- ours.zip(mllib); z <- a.indices)
+        assert(math.abs(a(z) - b(z)) < 1e-9, s"${s.name} centroid ${a.toSeq} vs MLlib ${b.toSeq}")
+    }
+  }
+
   // Fewer points than partitions, or too few to fill them: some states are
   // built over no points at all.
   for ((n, parts) <- Seq((3, 4), (5, 4), (5, 8), (12, 8))) {
