@@ -25,18 +25,8 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
 
   /** The full scan, also recording which centroid was second nearest. */
   private def twoNearest(i: Int, x: Array[Double], cs: Array[Array[Double]], b: Block): Unit = {
-    var best = -1; var d1 = Double.PositiveInfinity
-    var sec = -1; var d2 = Double.PositiveInfinity
-    var j = 0
-    while (j < k) {
-      val dd = b.cdist(x, cs(j))
-      if (dd < d1) { d2 = d1; sec = best; d1 = dd; best = j }
-      else if (dd < d2) { d2 = dd; sec = j }
-      j += 1
-    }
-    ub(i) = d1; lb(i) = d2; second(i) = if (sec >= 0) sec else best
-    b.m.boundUpdate += 2
-    b.reassign(i, best)
+    fullScan(i, x, cs, b)
+    second(i) = if (b.second >= 0) b.second else assign(i)
   }
 
   /** Scan only centroids inside the annulus; both the true nearest and the

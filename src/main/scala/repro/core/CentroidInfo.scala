@@ -7,7 +7,6 @@ package repro.core
 final case class Req(
     cc: Boolean = false,          // pairwise centroid distances (rows built in parallel) + s(c) = ½·min-other
     neighbors: Boolean = false,   // per-centroid Exponion annuli (rank-doubling shells) over cc
-    norms: Boolean = false,       // ‖c_j‖
     sortedNorms: Boolean = false, // centroids sorted by norm (Annular)
     blocks: Boolean = false,      // block norms (Block-Vector)
     groups: Boolean = false,      // Yinyang-style centroid groups
@@ -17,7 +16,10 @@ final case class Req(
 ) {
   def normalized: Req =
     copy(cc = cc || neighbors || candidates, radii = radii || candidates,
-         groups = groups || regroup, norms = norms || sortedNorms || blocks)
+         groups = groups || regroup)
+
+  /** ‖c_j‖, which the sorted norms and the block bound are built from. */
+  def norms: Boolean = sortedNorms || blocks
 }
 
 /** Centroid grouping for Yinyang/Regroup/UniK group pruning.

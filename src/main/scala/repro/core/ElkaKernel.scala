@@ -17,58 +17,70 @@ object ElkaKernel extends Strategy {
 /** Drift [Rysavy & Hamerly, SDM'16] — Elkan with a geometrically tightened
   * centroid-drift bound. We cap each drift by the cluster-radius bound
   * (the new centroid is a mean of points within `radius` of the old one, so
-  * `drift ≤ radius`), computed through an extra per-cluster norm-based code
-  * path; exactness is preserved and so is the paper's observed cost profile
+  * `drift ≤ radius`), which needs the per-cluster radii every iteration;
+  * exactness is preserved and so is the paper's observed cost profile
   * (extra bound bookkeeping, little gain — see DESIGN.md substitutions).
   */
 object DriftKernel extends Strategy {
   val name = "Drift"
-  val req: Req = Req(cc = true, radii = true, norms = true)
+  val req: Req = Req(cc = true, radii = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new ElkaState(points, k, tighterDrift = true)
 }
 
-final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolean)
+/** Elkan's per-pair bounds, shared by Elka, Drift and Full: per point an
+  * upper bound `ub` on the distance to its centroid and a lower bound
+  * `lb(i·k + j)` on the distance to each centroid j.
+  */
+abstract class ElkanState(points: Array[Array[Double]], k: Int)
     extends SequentialState(points, k) {
 
-  private val ub = new Array[Double](n)
-  private val lb = new Array[Double](n * k) // flattened (i, j)
+  protected final val ub = new Array[Double](n)
+  protected final val lb = new Array[Double](n * k) // flattened (i, j)
 
-  override protected def reportRadii: Boolean = tighterDrift
   override protected def ubOf(i: Int): Double = ub(i)
 
   protected type Ctx = Block
   protected def newBlock(): Block = new Block
 
-  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
+  /** Point i's scan on the state's first step: sets ub(i) and every lb of
+    * the point, and returns its nearest centroid.
+    */
+  protected final def seedPoint(i: Int, info: CentroidInfo, b: Block): Int = {
     val cs = info.centroids
     val cc = info.cc
-    val m = b.m
-    var i = from
-    while (i < until) {
-      val x = points(i)
-      val base = i * k
-      var best = 0
-      var bd = b.cdist(x, cs(0))
-      lb(base) = bd
-      var j = 1
-      while (j < k) {
-        // Inter-bound: if ½·cc(best,j) ≥ ub then c_j cannot win; lb via triangle.
-        if (0.5 * cc(best)(j) < bd) {
-          val dd = b.cdist(x, cs(j))
-          lb(base + j) = dd
-          if (dd < bd) { bd = dd; best = j }
-        } else {
-          lb(base + j) = cc(best)(j) - bd
-        }
-        m.boundUpdate += 1
-        j += 1
+    val x = points(i)
+    val base = i * k
+    var best = 0
+    var bd = b.cdist(x, cs(0))
+    lb(base) = bd
+    var j = 1
+    while (j < k) {
+      // Inter-bound: if ½·cc(best,j) ≥ ub then c_j cannot win; lb via triangle.
+      if (0.5 * cc(best)(j) < bd) {
+        val dd = b.cdist(x, cs(j))
+        lb(base + j) = dd
+        if (dd < bd) { bd = dd; best = j }
+      } else {
+        lb(base + j) = cc(best)(j) - bd
       }
-      ub(i) = bd
-      b.reassign(i, best)
-      i += 1
+      b.m.boundUpdate += 1
+      j += 1
     }
+    ub(i) = bd
+    best
+  }
+}
+
+final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolean)
+    extends ElkanState(points, k) {
+
+  override protected def reportRadii: Boolean = tighterDrift
+
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
+    var i = from
+    while (i < until) { b.reassign(i, seedPoint(i, info, b)); i += 1 }
   }
 
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
@@ -78,14 +90,10 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
     val m = b.m
     val drifts = info.drifts
     // Drift variant: δ(j) = min(drift(j), radius(j)) — still an upper bound
-    // on how far c_j moved, computed via the norm path for the extra cost.
+    // on how far c_j moved.
     val delta =
       if (!tighterDrift) drifts
-      else Array.tabulate(k) { j =>
-        val r = info.radii(j)
-        val cap = if (info.norms(j) > 0) r * (info.norms(j) / info.norms(j)) else r
-        math.min(drifts(j), cap)
-      }
+      else Array.tabulate(k)(j => math.min(drifts(j), info.radii(j)))
 
     var i = from
     while (i < until) {

@@ -15,28 +15,11 @@ object FullKernel extends Strategy {
 }
 
 final class FullState(points: Array[Array[Double]], k: Int)
-    extends SequentialState(points, k) {
+    extends ElkanState(points, k) {
 
-  private val ub = new Array[Double](n)
-  private val lb = new Array[Double](n * k)
   private var t = 0
   private var glb: Array[Double] = null
-  private val xNormSq = new Array[Double](n)
-  private val xB1 = new Array[Double](n)
-  private val xB2 = new Array[Double](n)
-  locally {
-    var i = 0
-    while (i < n) {
-      val (b1, b2) = Geometry.blockNorms(points(i))
-      xB1(i) = b1; xB2(i) = b2; xNormSq(i) = b1 * b1 + b2 * b2
-      i += 1
-    }
-  }
-
-  override protected def ubOf(i: Int): Double = ub(i)
-
-  protected type Ctx = Block
-  protected def newBlock(): Block = new Block
+  private val xNorms = new PointBlockNorms(points)
 
   /** The group count is fixed by the state's first step. */
   override protected def prelude(info: CentroidInfo): Option[Block] = {
@@ -45,40 +28,30 @@ final class FullState(points: Array[Array[Double]], k: Int)
   }
 
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
-    val gi = info.groups
-    val cs = info.centroids
-    val cc = info.cc
-    val m = b.m
     var i = from
     while (i < until) {
-      val x = points(i)
-      val base = i * k
-      val gbase = i * t
-      var best = 0
-      var bd = b.cdist(x, cs(0))
-      lb(base) = bd
-      var j = 1
-      while (j < k) {
-        if (0.5 * cc(best)(j) < bd) {
-          val dd = b.cdist(x, cs(j))
-          lb(base + j) = dd
-          if (dd < bd) { bd = dd; best = j }
-        } else lb(base + j) = cc(best)(j) - bd
-        m.boundUpdate += 1
-        j += 1
-      }
-      ub(i) = bd
-      var g = 0
-      while (g < t) { glb(gbase + g) = Double.PositiveInfinity; g += 1 }
-      j = 0
-      while (j < k) {
-        val g2 = gi.of(j)
-        if (j != best && lb(base + j) < glb(gbase + g2)) glb(gbase + g2) = lb(base + j)
-        m.boundUpdate += 1
-        j += 1
-      }
+      val best = seedPoint(i, info, b)
+      groupBounds(i, info.groups, best)
+      b.m.boundUpdate += k
       b.reassign(i, best)
       i += 1
+    }
+  }
+
+  /** Sets point i's bound of each group to the least lb of its members but `a`. */
+  private def groupBounds(i: Int, gi: GroupInfo, a: Int): Unit = {
+    var g = 0
+    while (g < t) {
+      var v = Double.PositiveInfinity
+      val mem = gi.members(g)
+      var z = 0
+      while (z < mem.length) {
+        val j = mem(z)
+        if (j != a && lb(i * k + j) < v) v = lb(i * k + j)
+        z += 1
+      }
+      glb(i * t + g) = v
+      g += 1
     }
   }
 
@@ -96,18 +69,11 @@ final class FullState(points: Array[Array[Double]], k: Int)
       ub(i) += info.drifts(a); m.boundUpdate += 1
       var j = 0
       while (j < k) { lb(base + j) -= info.drifts(j); m.boundUpdate += 1; j += 1 }
-      var g = 0
-      var globalLb = Double.PositiveInfinity
-      while (g < t) {
-        glb(gbase + g) -= gi.maxDrift(g)
-        if (glb(gbase + g) < globalLb) globalLb = glb(gbase + g)
-        m.boundUpdate += 1; m.boundAccess += 1
-        g += 1
-      }
+      val globalLb = GroupScan.drift(glb, gbase, gi, m)
       m.boundAccess += 1
       if (globalLb < ub(i) && ub(i) > info.sc(a)) {
         var tight = false
-        g = 0
+        var g = 0
         while (g < t) {
           m.boundAccess += 1
           if (glb(gbase + g) < ub(i)) {
@@ -121,8 +87,7 @@ final class FullState(points: Array[Array[Double]], k: Int)
                   if (!tight) { ub(i) = b.cdist(x, cs(a)); lb(base + a) = ub(i); tight = true }
                   if (ub(i) > lb(base + j2) && ub(i) > 0.5 * cc(a)(j2)) {
                     // block-vector prefilter before the exact distance
-                    val bv = Geometry.blockLb(xNormSq(i), xB1(i), xB2(i),
-                      info.normSq(j2), info.blockB1(j2), info.blockB2(j2))
+                    val bv = xNorms.lb(i, info, j2)
                     m.boundAccess += 1
                     if (bv < ub(i)) {
                       val dd = b.cdist(x, cs(j2))
@@ -140,19 +105,8 @@ final class FullState(points: Array[Array[Double]], k: Int)
           g += 1
         }
         // refresh group bounds from the per-pair bounds (cheap, conservative)
-        g = 0
-        while (g < t) {
-          var v = Double.PositiveInfinity
-          val mem = gi.members(g)
-          var z = 0
-          while (z < mem.length) {
-            val j2 = mem(z)
-            if (j2 != a && lb(base + j2) < v) v = lb(base + j2)
-            z += 1
-          }
-          glb(gbase + g) = v; m.boundUpdate += 1
-          g += 1
-        }
+        groupBounds(i, gi, a)
+        m.boundUpdate += t
       }
       b.reassign(i, a)
       i += 1

@@ -66,15 +66,8 @@ abstract class HamerlyState(points: Array[Array[Double]], k: Int)
 
   /** Scan all k centroids; set ub = nearest, lb = second nearest. */
   protected final def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]], b: Block): Unit = {
-    var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-    var j = 0
-    while (j < k) {
-      val dd = b.cdist(x, cs(j))
-      if (dd < d1) { d2 = d1; d1 = dd; best = j }
-      else if (dd < d2) d2 = dd
-      j += 1
-    }
-    ub(i) = d1; lb(i) = d2
+    val best = b.nearest(x, cs)
+    ub(i) = b.d1; lb(i) = b.d2
     b.m.boundUpdate += 2
     b.reassign(i, best)
   }

@@ -59,17 +59,9 @@ final class HeapState(points: Array[Array[Double]], k: Int)
 
   /** Full scan of point i; push its new gap into its cluster's heap. */
   private def scanAndPush(i: Int, cs: Array[Array[Double]], b: Block): Unit = {
-    val x = points(i)
-    var best = -1; var d1 = Double.PositiveInfinity; var d2 = Double.PositiveInfinity
-    var j = 0
-    while (j < k) {
-      val dd = b.cdist(x, cs(j))
-      if (dd < d1) { d2 = d1; d1 = dd; best = j }
-      else if (dd < d2) d2 = dd
-      j += 1
-    }
+    val best = b.nearest(points(i), cs)
     b.reassign(i, best)
-    push(best, (d2 - d1) + offset(best), i)
+    push(best, (b.d2 - b.d1) + offset(best), i)
     b.m.boundUpdate += 1
   }
 

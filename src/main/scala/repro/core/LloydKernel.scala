@@ -22,18 +22,6 @@ final class LloydState(points: Array[Array[Double]], k: Int)
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
     var i = from
-    while (i < until) {
-      val x = points(i)
-      var best = 0
-      var bd = b.cdist(x, cs(0))
-      var j = 1
-      while (j < k) {
-        val dd = b.cdist(x, cs(j))
-        if (dd < bd) { bd = dd; best = j }
-        j += 1
-      }
-      b.reassign(i, best)
-      i += 1
-    }
+    while (i < until) { b.reassign(i, b.nearest(points(i), cs)); i += 1 }
   }
 }

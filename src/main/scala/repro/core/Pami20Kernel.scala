@@ -28,15 +28,8 @@ final class Pami20State(points: Array[Array[Double]], k: Int)
     val cs = info.centroids
     var i = from
     while (i < until) {
-      val x = points(i)
-      var best = 0; var d1 = b.cdist(x, cs(0))
-      var j = 1
-      while (j < k) {
-        val dd = b.cdist(x, cs(j))
-        if (dd < d1) { d1 = dd; best = j }
-        j += 1
-      }
-      ub(i) = d1
+      val best = b.nearest(points(i), cs)
+      ub(i) = b.d1
       b.reassign(i, best)
       i += 1
     }

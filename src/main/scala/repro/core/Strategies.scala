@@ -22,7 +22,6 @@ object Strategies {
   val pool: Seq[Strategy] = Seq(HameKernel, DrakKernel, HeapKernel, YinyangKernel, RegroupKernel)
 
   val index: Strategy = BallKMeansStrategy.default        // "INDE" (Ball-tree)
-  val kdIndex: Strategy = KdKMeans
   val unik: Strategy = UniKStrategy.default               // adaptive
   val unikSingle: Strategy = new UniKStrategy(UniKMode.Single)
   val unikMultiple: Strategy = new UniKStrategy(UniKMode.Multiple)
@@ -31,7 +30,7 @@ object Strategies {
   val sequ: Strategy = YinyangKernel // paper's representative "SEQU"
 
   val byName: Map[String, Strategy] =
-    (Seq(lloyd, index, kdIndex, unik, unikSingle, unikMultiple, full) ++ sequential)
+    (Seq(lloyd, index, KdKMeans, unik, unikSingle, unikMultiple, full) ++ sequential)
       .map(s => s.name -> s).toMap
 
   def apply(name: String): Strategy =

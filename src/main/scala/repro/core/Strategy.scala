@@ -133,6 +133,30 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
       Geometry.dist(x, c)
     }
 
+    /** The last `nearest` scan's nearest and second-nearest distance, and
+      * the first second-nearest centroid (-1 when k = 1).
+      */
+    var d1 = 0.0
+    var d2 = 0.0
+    var second = -1
+
+    /** Counted scan of all k centroids in index order; returns the first
+      * nearest one.
+      */
+    final def nearest(x: Array[Double], cs: Array[Array[Double]]): Int = {
+      var best = 0; var sec = -1
+      var n1 = cdist(x, cs(0)); var n2 = Double.PositiveInfinity
+      var j = 1
+      while (j < k) {
+        val dd = cdist(x, cs(j))
+        if (dd < n1) { n2 = n1; sec = best; n1 = dd; best = j }
+        else if (dd < n2) { n2 = dd; sec = j }
+        j += 1
+      }
+      d1 = n1; d2 = n2; second = sec
+      best
+    }
+
     @inline final def reassign(i: Int, j: Int): Unit = {
       val old = assign(i)
       if (old != j) { moverIdx += i; moverFrom += old; assign(i) = j }

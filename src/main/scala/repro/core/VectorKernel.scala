@@ -17,17 +17,7 @@ object VectorKernel extends Strategy {
 final class VectorState(points: Array[Array[Double]], k: Int)
     extends HamerlyState(points, k) {
 
-  private val xNormSq = new Array[Double](n)
-  private val xB1 = new Array[Double](n)
-  private val xB2 = new Array[Double](n)
-  locally {
-    var i = 0
-    while (i < n) {
-      val (b1, b2) = Geometry.blockNorms(points(i))
-      xB1(i) = b1; xB2(i) = b2; xNormSq(i) = b1 * b1 + b2 * b2
-      i += 1
-    }
-  }
+  private val xNorms = new PointBlockNorms(points)
 
   override protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit =
     rescan(i, x, info, b)
@@ -43,9 +33,7 @@ final class VectorState(points: Array[Array[Double]], k: Int)
     var j = 0
     while (j < k) {
       m.boundAccess += 1
-      val bv = Geometry.blockLb(xNormSq(i), xB1(i), xB2(i),
-        info.normSq(j), info.blockB1(j), info.blockB2(j))
-      if (bv < d2) {
+      if (xNorms.lb(i, info, j) < d2) {
         val dd = b.cdist(x, cs(j))
         if (dd < d1) { d2 = d1; d1 = dd; best = j }
         else if (dd < d2) d2 = dd
@@ -56,4 +44,25 @@ final class VectorState(points: Array[Array[Double]], k: Int)
     m.boundUpdate += 2
     b.reassign(i, best)
   }
+}
+
+/** Point-side block norms for the Block-Vector bound (Vector and Full),
+  * computed once per state.
+  */
+final class PointBlockNorms(points: Array[Array[Double]]) extends Serializable {
+  private val normSq = new Array[Double](points.length)
+  private val b1 = new Array[Double](points.length)
+  private val b2 = new Array[Double](points.length)
+  locally {
+    var i = 0
+    while (i < points.length) {
+      val (n1, n2) = Geometry.blockNorms(points(i))
+      b1(i) = n1; b2(i) = n2; normSq(i) = n1 * n1 + n2 * n2
+      i += 1
+    }
+  }
+
+  /** `Geometry.blockLb` of point i and centroid j: a lower bound on their distance. */
+  def lb(i: Int, info: CentroidInfo, j: Int): Double =
+    Geometry.blockLb(normSq(i), b1(i), b2(i), info.normSq(j), info.blockB1(j), info.blockB2(j))
 }

@@ -34,14 +34,9 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
-  /** A block's scratch: per group, the best and second-best distance seen
-    * for the current point.
-    */
+  /** A block's scratch: the group scan and Regroup's remap buffer. */
   protected final class Ctx extends Block {
-    val gMin = new Array[Double](t)
-    val gMinIdx = new Array[Int](t)
-    val gMin2 = new Array[Double](t)
-    val gScanned = new Array[Boolean](t)
+    val gs = new GroupScan(t)
     val remapBuf = new Array[Double](t)
   }
   protected def newBlock(): Ctx = new Ctx
@@ -53,33 +48,11 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
   }
 
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Ctx): Unit = {
-    val cs = info.centroids
-    val gi = info.groups
-    val m = b.m
-    val gMin = b.gMin; val gMinIdx = b.gMinIdx; val gMin2 = b.gMin2
     var i = from
     while (i < until) {
-      val x = points(i)
-      val base = i * t
-      var g = 0
-      while (g < t) { gMin(g) = Double.PositiveInfinity; gMinIdx(g) = -1; gMin2(g) = Double.PositiveInfinity; g += 1 }
-      var best = -1; var d1 = Double.PositiveInfinity
-      var j = 0
-      while (j < k) {
-        val dd = b.cdist(x, cs(j))
-        val gg = gi.of(j)
-        if (dd < gMin(gg)) { gMin2(gg) = gMin(gg); gMin(gg) = dd; gMinIdx(gg) = j }
-        else if (dd < gMin2(gg)) gMin2(gg) = dd
-        if (dd < d1) { d1 = dd; best = j }
-        j += 1
-      }
-      ub(i) = d1
-      g = 0
-      while (g < t) {
-        glb(base + g) = if (gMinIdx(g) == best) gMin2(g) else gMin(g)
-        m.boundUpdate += 1
-        g += 1
-      }
+      val best = b.gs.seed(points(i), info.centroids, info.groups, glb, i * t, b.m)
+      b.m.pointAccess += b.gs.dists
+      ub(i) = b.gs.d1
       b.reassign(i, best)
       i += 1
     }
@@ -90,8 +63,7 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
     val gi = info.groups
     val remap = gi.remapFrom
     val m = b.m
-    val gMin = b.gMin; val gMinIdx = b.gMinIdx; val gMin2 = b.gMin2
-    val gScanned = b.gScanned; val remapBuf = b.remapBuf
+    val gs = b.gs; val remapBuf = b.remapBuf
     var i = from
     while (i < until) {
       val x = points(i)
@@ -119,64 +91,14 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
       }
 
       ub(i) += info.drifts(a); m.boundUpdate += 1
-      var globalLb = Double.PositiveInfinity
-      var g = 0
-      while (g < t) {
-        glb(base + g) -= gi.maxDrift(g)
-        if (glb(base + g) < globalLb) globalLb = glb(base + g)
-        m.boundUpdate += 1; m.boundAccess += 1
-        g += 1
-      }
-
+      val globalLb = GroupScan.drift(glb, base, gi, m)
       if (globalLb < ub(i)) {
         ub(i) = b.cdist(x, cs(a)) // tighten
         if (globalLb < ub(i)) {
-          val aOld = a
-          val dAOld = ub(i)
-          var d1 = ub(i); var best = a
-          var g2 = 0
-          while (g2 < t) { gMin(g2) = Double.PositiveInfinity; gMinIdx(g2) = -1; gMin2(g2) = Double.PositiveInfinity; gScanned(g2) = false; g2 += 1 }
-          g2 = 0
-          while (g2 < t) {
-            m.boundAccess += 1
-            if (glb(base + g2) < d1) { // group filter (against current best-so-far)
-              gScanned(g2) = true
-              val mem = gi.members(g2)
-              var z = 0
-              while (z < mem.length) {
-                val j = mem(z)
-                if (j != aOld) {
-                  val dd = b.cdist(x, cs(j))
-                  if (dd < gMin(g2)) { gMin2(g2) = gMin(g2); gMin(g2) = dd; gMinIdx(g2) = j }
-                  else if (dd < gMin2(g2)) gMin2(g2) = dd
-                  if (dd < d1) { d1 = dd; best = j }
-                }
-                z += 1
-              }
-            }
-            g2 += 1
-          }
-          // Refresh bounds: scanned groups now hold EXACT member distances
-          // (minus the assignee) and can be overwritten; an unscanned group
-          // that regains the old centroid can only take a min.
-          val gaOld = gi.of(aOld)
-          if (best != aOld) {
-            if (dAOld < gMin(gaOld)) { gMin2(gaOld) = gMin(gaOld); gMin(gaOld) = dAOld; gMinIdx(gaOld) = aOld }
-            else if (dAOld < gMin2(gaOld)) gMin2(gaOld) = dAOld
-          }
-          g2 = 0
-          while (g2 < t) {
-            val candidate = if (gMinIdx(g2) == best) gMin2(g2) else gMin(g2)
-            if (gScanned(g2)) {
-              glb(base + g2) = candidate
-              m.boundUpdate += 1
-            } else if (g2 == gaOld && best != aOld && candidate < glb(base + g2)) {
-              glb(base + g2) = candidate
-              m.boundUpdate += 1
-            }
-            g2 += 1
-          }
-          ub(i) = d1
+          val best = gs.scan(x, cs, gi, glb, base, a, ub(i), 0.0, m)
+          m.pointAccess += gs.dists
+          gs.refresh(glb, base, gi, a, ub(i), best, m)
+          ub(i) = gs.d1
           a = best
         }
       }

@@ -89,15 +89,4 @@ object Datasets {
     points.zipWithIndex.map { case (p, i) => (i.toLong, p.toSeq) }.toSeq
       .toDF("id", "features")
   }
-
-  /** Points as a wide DataFrame (f0..f{d-1} columns) for the DuckDB oracle. */
-  def toWideDF(spark: SparkSession, points: Array[Array[Double]]): DataFrame = {
-    import org.apache.spark.sql.Row
-    import org.apache.spark.sql.types._
-    val d = if (points.isEmpty) 0 else points(0).length
-    val schema = StructType(
-      StructField("id", LongType) +: (0 until d).map(i => StructField(s"f$i", DoubleType)))
-    val rows = points.zipWithIndex.map { case (p, i) => Row.fromSeq(i.toLong +: p.toSeq) }
-    spark.createDataFrame(spark.sparkContext.parallelize(rows.toSeq, 4), schema)
-  }
 }

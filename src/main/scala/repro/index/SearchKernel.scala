@@ -54,17 +54,7 @@ final class SearchState(points: Array[Array[Double]], k: Int, seed: Long)
     val cs = info.centroids
     var i = from
     while (i < until) {
-      if (!done(i)) {
-        val x = points(i)
-        var best = 0; var bd = b.cdist(x, cs(0))
-        var j2 = 1
-        while (j2 < k) {
-          val dd = b.cdist(x, cs(j2))
-          if (dd < bd) { bd = dd; best = j2 }
-          j2 += 1
-        }
-        b.reassign(i, best)
-      }
+      if (!done(i)) b.reassign(i, b.nearest(points(i), cs))
       i += 1
     }
   }

@@ -89,11 +89,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
   private var step1Nanos = -1L
   private var chosenSingle = true
 
-  // scratch
-  private var gMin: Array[Double] = null
-  private var gMinIdx: Array[Int] = null
-  private var gMin2: Array[Double] = null
-  private var gScanned: Array[Boolean] = null
+  private var gs: GroupScan = null // the cluster pass's scratch
 
   def step(info: CentroidInfo): Partials = {
     if (t == 0) {
@@ -103,8 +99,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
       ptUb = new Array[Double](n)
       ptGlb = new Array[Double](n * t)
       lists = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
-      gMin = new Array[Double](t); gMinIdx = new Array[Int](t); gMin2 = new Array[Double](t)
-      gScanned = new Array[Boolean](t)
+      gs = new GroupScan(t)
     }
     moved = 0
     opVec.clear(); opNum.clear(); opFrom.clear(); opTo.clear(); opPoint.clear()
@@ -247,15 +242,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
 
     // drift-update
     var ub = (if (isNode) nodeUb(nd.id) else ptUb(pi)) + info.drifts(cl)
-    var minGlb = Double.PositiveInfinity
-    var g = 0
-    while (g < t) {
-      bounds(base + g) -= gi.maxDrift(g)
-      if (bounds(base + g) < minGlb) minGlb = bounds(base + g)
-      g += 1
-    }
-    m.boundUpdate += t + 1
-    m.boundAccess += t + 1
+    val minGlb = GroupScan.drift(bounds, base, gi, m)
+    m.boundUpdate += 1; m.boundAccess += 1 // the upper bound
 
     // Eq. 10 global test with radius margin
     if (minGlb - r > ub + r) {
@@ -276,34 +264,11 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
     }
 
     // group scan with margin (Eq. 11)
-    var d1 = dOld; var best = cl; var d2 = Double.PositiveInfinity
-    var g2 = 0
-    while (g2 < t) { gMin(g2) = Double.PositiveInfinity; gMinIdx(g2) = -1; gMin2(g2) = Double.PositiveInfinity; gScanned(g2) = false; g2 += 1 }
-    g2 = 0
-    while (g2 < t) {
-      m.boundAccess += 1
-      if (bounds(base + g2) - r < d1 + r) {
-        gScanned(g2) = true
-        val mem = gi.members(g2)
-        var z = 0
-        while (z < mem.length) {
-          val j = mem(z)
-          if (j != cl) {
-            m.dist += 1
-            if (!isNode) m.pointAccess += 1
-            val dd = Geometry.dist(pivot, cs(j))
-            if (dd < gMin(g2)) { gMin2(g2) = gMin(g2); gMin(g2) = dd; gMinIdx(g2) = j }
-            else if (dd < gMin2(g2)) gMin2(g2) = dd
-            if (dd < d1) { d2 = d1; d1 = dd; best = j }
-            else if (dd < d2) d2 = dd
-          }
-          z += 1
-        }
-      }
-      g2 += 1
-    }
+    val best = gs.scan(pivot, cs, gi, bounds, base, cl, dOld, r, m)
+    if (!isNode) m.pointAccess += gs.dists
+    val d1 = gs.d1
 
-    if (isNode && d2 - d1 < 2.0 * r) {
+    if (isNode && gs.d2 - d1 < 2.0 * r) {
       // Eq. 9 failed: split the node, children inherit bounds via ψ (Eq. 12)
       pushOp(nd.sv, nd.num, cl, -1, isPoint = false) // remove node sv from cl
       if (nd.isLeaf) {
@@ -344,25 +309,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
         pushOp(points(pi), 1, cl, best, isPoint = true)
         if (assign(pi) != best) { assign(pi) = best; moved += 1 }
       }
-      // fold the old centroid's exact distance into its group bound
-      val gOld = gi.of(cl)
-      if (dOld < gMin(gOld)) { gMin2(gOld) = gMin(gOld); gMin(gOld) = dOld; gMinIdx(gOld) = cl }
-      else if (dOld < gMin2(gOld)) gMin2(gOld) = dOld
     }
-    // Scanned groups now have EXACT member distances (minus the assignee):
-    // overwrite their bounds with the exact min. An unscanned group that
-    // regains the old centroid may only take a min with its stored bound.
-    val gOldGrp = gi.of(cl)
-    var g4 = 0
-    while (g4 < t) {
-      val candidate = if (gMinIdx(g4) == best) gMin2(g4) else gMin(g4)
-      if (gScanned(g4)) {
-        bounds(base + g4) = candidate; m.boundUpdate += 1
-      } else if (g4 == gOldGrp && best != cl && candidate < bounds(base + g4)) {
-        bounds(base + g4) = candidate; m.boundUpdate += 1
-      }
-      g4 += 1
-    }
+    gs.refresh(bounds, base, gi, cl, dOld, best, m)
     if (isNode) { nodeUb(nd.id) = d1 } else { ptUb(pi) = d1 }
     m.boundUpdate += 1
     newLists(best) += obj

@@ -64,18 +64,22 @@ class ExactnessSpec extends AnyFunSuite {
     }
   }
 
-  // Exponion walks each centroid's annuli (rank-doubling shells). Duplicate
-  // centroids tie at cc = 0, so the walk must still start from the assigned
-  // centroid itself.
-  for (k <- Seq(1, 2, 65)) {
-    test(s"Expo matches Lloyd's assignments every iteration with duplicate centroids at k=$k") {
+  // Duplicate centroids tie at every distance and at cc = 0, so each scan
+  // must break the tie as Lloyd does (Exponion, for one, must still start
+  // its annuli walk from the assigned centroid itself).
+  private val dupStrategies: Seq[Strategy] = Seq(
+    "Expo", "Yinyang", "Regroup", "Full", "UniK-single", "UniK-multiple", "Lloyd", "Hame",
+    "Annu", "Vector", "Heap", "Pami20", "Search", "Elka", "Drift", "Drak").map(Strategies(_))
+
+  for (s <- dupStrategies; k <- Seq(1, 2, 65)) {
+    test(s"${s.name} matches Lloyd's assignments every iteration with duplicate centroids at k=$k") {
       val pts = TestData.mixture(400, 4, 10, 0.05, 11L)
       val base = Init.kmeansPlusPlus(pts, (k + 1) / 2, 12L)
       val init = Array.tabulate(k)(j => base(j % base.length).clone)
       for (iters <- 1 to 8) {
         val (_, ref) = lloydRef(pts, k, init, iters)
-        val state = ExpoKernel.newState(pts, k, 0L)
-        Runner.fitStates(ExpoKernel, Seq(state), ps => ps.head.step(_: CentroidInfo),
+        val state = s.newState(pts, k, 0L)
+        Runner.fitStates(s, Seq(state), ps => ps.head.step(_: CentroidInfo),
           k, init, iters, 0L)
         assert(state.assignments.toSeq == ref.toSeq, s"assignments diverge after $iters iterations")
       }

@@ -3,10 +3,10 @@ package repro.spark
 import repro.core._
 import repro.data.Datasets
 import repro.index.{BallKMeansStrategy, BallTree}
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 
-/** The distributed path must agree with the single-partition path, and the
-  * Catalyst refinement must agree with DuckDB.
+/** The distributed path must agree with the single-partition path and with
+  * stock `spark.mllib` KMeans.
   */
 class SparkKMeansSpec extends SparkSpec {
 
@@ -121,40 +121,6 @@ class SparkKMeansSpec extends SparkSpec {
     val dist = SparkKMeans.fit(spark, rdd, LloydKernel, 8, init8, maxIters = 4)
     val ref = Runner.fitLocal(LloydKernel, local, 8, init8, maxIters = 4)
     assert(math.abs(dist.sse - ref.sse) / math.max(ref.sse, 1e-12) < 1e-6)
-  }
-
-  test("DataFrameKMeans assignment+refinement matches the kernel centroids") {
-    val df = Datasets.toDF(spark, pts)
-    val got = DataFrameKMeans.fit(spark, df, k, init, maxIters = 3)
-    val local = Runner.fitLocal(LloydKernel, pts, k, init, maxIters = 3)
-    got.zip(local.centroids).foreach { case (a, b) =>
-      a.indices.foreach(i => assert(math.abs(a(i) - b(i)) < 1e-9))
-    }
-  }
-
-  test("relational refinement agrees with DuckDB (Oracle)") {
-    import org.apache.spark.sql.functions._
-    val small = pts.take(200)
-    val assignedPts = {
-      val st = LloydKernel.newState(small, 5, 0L)
-      val init5 = Init.kmeansPlusPlus(small, 5, 83L)
-      Runner.fitStates(LloydKernel, Seq(st), ps => ps.head.step(_: CentroidInfo), 5, init5, 1, 0L)
-      st.assignments
-    }
-    val wide = Datasets.toWideDF(spark, small)
-    import spark.implicits._
-    val assignDf = assignedPts.zipWithIndex.map { case (c, i) => (i.toLong, c) }.toSeq
-      .toDF("id", "cluster")
-    val joined = wide.join(assignDf, "id")
-    val d = small(0).length
-    val sparkAgg = joined.groupBy($"cluster")
-      .agg(count(lit(1)).as("cnt"),
-        (0 until d).map(i => avg(col(s"f$i")).as(s"m$i")): _*)
-    val duckSql =
-      s"SELECT cluster, count(*) AS cnt, " +
-        (0 until d).map(i => s"avg(CAST(f$i AS DOUBLE)) AS m$i").mkString(", ") +
-        " FROM pts GROUP BY cluster"
-    Oracle.assertEquivalent(sparkAgg, duckSql, "pts" -> joined)
   }
 }
 
