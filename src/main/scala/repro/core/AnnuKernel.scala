@@ -40,17 +40,23 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
     val hi = xNorm(i) + r
     val sv = info.sortedNormVal
     val si = info.sortedNormIdx
-    var from = lowerBound(sv, lo)
+    val from = lowerBound(sv, lo)
+    var until = from
+    while (until < k && sv(until) <= hi) until += 1
+    val ring = b.iBuf
+    System.arraycopy(si, from, ring, 0, until - from)
+    val sq = b.distSqs(x, cs, ring, until - from)
     var best = -1; var d1 = Double.PositiveInfinity
     var sec = -1; var d2 = Double.PositiveInfinity
     // The current assignee and old second are inside the annulus by
     // construction, so the scan below always sees >= 2 candidates (k >= 2).
-    while (from < k && sv(from) <= hi) {
-      val j = si(from)
-      val dd = b.cdist(x, cs(j))
+    var z = 0
+    while (z < until - from) {
+      val j = ring(z)
+      val dd = math.sqrt(sq(z))
       if (dd < d1) { d2 = d1; sec = best; d1 = dd; best = j }
       else if (dd < d2) { d2 = dd; sec = j }
-      from += 1
+      z += 1
     }
     if (best < 0) { twoNearest(i, x, cs, b); return } // numeric safety net
     ub(i) = d1; lb(i) = d2; second(i) = if (sec >= 0) sec else best

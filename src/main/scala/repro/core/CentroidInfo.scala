@@ -282,15 +282,16 @@ object Grouper {
     val d = if (n > 0) pts(0).length else 0
     var centers = Geometry.copy2(init)
     val of = new Array[Int](n)
+    val sq = new Array[Double](t)
     var it = 0
     while (it < iters) {
       var i = 0
       while (i < n) {
+        Geometry.distSqMany(pts(i), centers, null, t, sq)
         var best = 0; var bd = Double.PositiveInfinity
         var g = 0
         while (g < t) {
-          val dd = Geometry.distSq(pts(i), centers(g))
-          if (dd < bd) { bd = dd; best = g }
+          if (sq(g) < bd) { bd = sq(g); best = g }
           g += 1
         }
         of(i) = best

@@ -25,19 +25,15 @@ final class DrakState(points: Array[Array[Double]], k: Int)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
-  /** A block's scratch for full scans: (distance, centroid) pairs. */
-  protected final class Ctx extends Block {
-    val dTmp = new Array[Double](k)
-    val order = new Array[Int](k)
-  }
-  protected def newBlock(): Ctx = new Ctx
+  protected type Ctx = Block
+  protected def newBlock(): Block = new Block
 
-  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, blk: Ctx): Unit = {
+  override protected def seedAll(info: CentroidInfo, from: Int, until: Int, blk: Block): Unit = {
     var i = from
     while (i < until) { fullScan(i, points(i), info.centroids, blk); i += 1 }
   }
 
-  protected def assignAll(info: CentroidInfo, from: Int, until: Int, blk: Ctx): Unit = {
+  protected def assignAll(info: CentroidInfo, from: Int, until: Int, blk: Block): Unit = {
     val cs = info.centroids
     val m = blk.m
     var i = from
@@ -61,11 +57,12 @@ final class DrakState(points: Array[Array[Double]], k: Int)
         ub(i) = blk.cdist(x, cs(a))
         if (math.max(info.sc(a), math.min(minStored, rest(i))) < ub(i)) {
           // Exact distances to the b stored centroids.
+          val sq = blk.distSqs(x, cs, bIdx(i), b)
           var best = a; var d1 = ub(i); var d2 = Double.PositiveInfinity
           z = 0
           while (z < b) {
             val j = bIdx(i)(z)
-            val dd = blk.cdist(x, cs(j))
+            val dd = math.sqrt(sq(z))
             bLb(i)(z) = dd
             if (dd < d1) { d2 = d1; d1 = dd; best = j }
             else if (dd < d2) d2 = dd
@@ -96,12 +93,13 @@ final class DrakState(points: Array[Array[Double]], k: Int)
   /** Compute all k distances; store the b nearest others and the (b+1)-th as
     * `rest`. Pairs are ordered by (distance, centroid index), as a stable
     * sort by distance would order them: a selection puts the (b+1)-th in
-    * place and the b+1 nearest before it, which are then sorted.
+    * place and the b+1 nearest before it, which are then sorted. The
+    * (distance, centroid) pairs live in the block's scratch.
     */
-  private def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]], blk: Ctx): Unit = {
-    val dTmp = blk.dTmp; val order = blk.order
+  private def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]], blk: Block): Unit = {
+    val dTmp = blk.distSqs(x, cs, null, k); val order = blk.iBuf
     var j = 0
-    while (j < k) { dTmp(j) = blk.cdist(x, cs(j)); order(j) = j; j += 1 }
+    while (j < k) { dTmp(j) = math.sqrt(dTmp(j)); order(j) = j; j += 1 }
     if (b + 1 < k) IndexSort.select(dTmp, order, 0, k - 1, b + 1)
     IndexSort.sort(dTmp, order, 0, b)
     val best = order(0)

@@ -28,7 +28,9 @@ final class ExpoState(points: Array[Array[Double]], k: Int)
     val radius = 2.0 * ubT + no
     val nb = info.neighbors(a) // nb(0) == a, then shells [2^s, 2^(s+1)) by cc(a, ·)
     val cca = info.cc(a)
-    var best = a; var d1 = ubT; var d2 = Double.PositiveInfinity
+    // The ball's members in walk order; the walk reads only cc.
+    val ball = b.iBuf
+    var cnt = 0
     var shellEnd = 2
     var seenMax = 0.0 // largest cc(a, ·) in the shells walked so far
     var z = 1
@@ -38,11 +40,16 @@ final class ExpoState(points: Array[Array[Double]], k: Int)
       val j = nb(z)
       val c = cca(j)
       if (c > seenMax) seenMax = c
-      if (c <= radius) {
-        val dd = b.cdist(x, cs(j))
-        if (dd < d1) { d2 = d1; d1 = dd; best = j }
-        else if (dd < d2) d2 = dd
-      }
+      if (c <= radius) { ball(cnt) = j; cnt += 1 }
+      z += 1
+    }
+    val sq = b.distSqs(x, cs, ball, cnt)
+    var best = a; var d1 = ubT; var d2 = Double.PositiveInfinity
+    z = 0
+    while (z < cnt) {
+      val dd = math.sqrt(sq(z))
+      if (dd < d1) { d2 = d1; d1 = dd; best = ball(z) }
+      else if (dd < d2) d2 = dd
       z += 1
     }
     // Centroids outside the ball satisfy d(x,c_j) >= ubT + nearestOther(a).

@@ -12,14 +12,19 @@ package repro.core
   * t accesses, `scan` counts t accesses and its distances, `refresh` its
   * updates. A point caller also counts `dists` point accesses.
   *
-  * The per-group scratch serves one object at a time, so one instance
-  * belongs to one thread.
+  * Distances are computed a group (or, seeding, all k centroids) at a time
+  * with `Geometry.distSqMany` and visited in member order.
+  *
+  * The scratch serves one object at a time, so one instance belongs to one
+  * thread.
   */
-final class GroupScan(t: Int) extends Serializable {
+final class GroupScan(t: Int, k: Int) extends Serializable {
   private val gMin = new Array[Double](t)
   private val gMinIdx = new Array[Int](t)
   private val gMin2 = new Array[Double](t)
   private val gScanned = new Array[Boolean](t)
+  private val sq = new Array[Double](k)
+  private val others = new Array[Int](k) // a group's members but the current centroid
 
   /** The last scan's nearest and second-nearest distance, and how many
     * distances it computed.
@@ -35,8 +40,9 @@ final class GroupScan(t: Int) extends Serializable {
   def seed(x: Array[Double], cs: Array[Array[Double]], gi: GroupInfo,
            bounds: Array[Double], base: Int, m: Metrics): Int = {
     reset(-1, Double.PositiveInfinity)
+    Geometry.distSqMany(x, cs, null, cs.length, sq)
     var j = 0
-    while (j < cs.length) { visit(gi.of(j), j, Geometry.dist(x, cs(j))); j += 1 }
+    while (j < cs.length) { visit(gi.of(j), j, math.sqrt(sq(j))); j += 1 }
     dists = cs.length
     m.dist += dists
     var g = 0
@@ -53,17 +59,22 @@ final class GroupScan(t: Int) extends Serializable {
   def scan(x: Array[Double], cs: Array[Array[Double]], gi: GroupInfo, bounds: Array[Double],
            base: Int, cur: Int, dCur: Double, r: Double, m: Metrics): Int = {
     reset(cur, dCur)
+    val gCur = gi.of(cur)
     var g = 0
     while (g < t) {
       if (bounds(base + g) - r < d1 + r) {
         gScanned(g) = true
         val mem = gi.members(g)
-        var z = 0
-        while (z < mem.length) {
-          val j = mem(z)
-          if (j != cur) { visit(g, j, Geometry.dist(x, cs(j))); dists += 1 }
-          z += 1
+        var cand = mem; var cnt = mem.length
+        if (g == gCur) {
+          cand = others; cnt = 0
+          var z = 0
+          while (z < mem.length) { if (mem(z) != cur) { others(cnt) = mem(z); cnt += 1 }; z += 1 }
         }
+        Geometry.distSqMany(x, cs, cand, cnt, sq)
+        var z = 0
+        while (z < cnt) { visit(g, cand(z), math.sqrt(sq(z))); z += 1 }
+        dists += cnt
       }
       g += 1
     }

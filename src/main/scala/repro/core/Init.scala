@@ -33,7 +33,16 @@ object Init {
     while (centers.size < math.min(k, n)) {
       val last = centers.last
       Blocks.foreach(n) { (from, until) =>
+        // Four points against the new centre per pass: distSq4 with the
+        // roles swapped gives the bits of distSq(points(i), last).
+        val d4 = new Array[Double](4)
         var i = from
+        while (i + 4 <= until) {
+          Geometry.distSq4(last, points(i), points(i + 1), points(i + 2), points(i + 3), d4, 0)
+          var q = 0
+          while (q < 4) { if (d4(q) < minSq(i + q)) minSq(i + q) = d4(q); q += 1 }
+          i += 4
+        }
         while (i < until) {
           val d = Geometry.distSq(points(i), last)
           if (d < minSq(i)) minSq(i) = d

@@ -41,12 +41,12 @@ final class Pami20State(points: Array[Array[Double]], k: Int)
     while (i < until) {
       val x = points(i)
       val cand = info.candidates(assign(i))
+      val sq = b.distSqs(x, cs, cand, cand.length)
       var best = -1; var d1 = Double.PositiveInfinity
       var z = 0
       while (z < cand.length) {
-        val j = cand(z)
-        val dd = b.cdist(x, cs(j))
-        if (dd < d1) { d1 = dd; best = j }
+        val dd = math.sqrt(sq(z))
+        if (dd < d1) { d1 = dd; best = cand(z) }
         z += 1
       }
       ub(i) = d1

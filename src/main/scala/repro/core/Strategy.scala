@@ -127,10 +127,26 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
     private[SequentialState] val moverIdx = new ArrayBuffer[Int]
     private[SequentialState] val moverFrom = new ArrayBuffer[Int]
 
+    /** Scratch of the batched scans: squared distances, and candidate
+      * centroids for a scan that gathers them first.
+      */
+    final val dBuf = new Array[Double](k)
+    final val iBuf = new Array[Int](k)
+
     /** Counted distance from a data point to a centroid. */
     @inline final def cdist(x: Array[Double], c: Array[Double]): Double = {
       m.dist += 1; m.pointAccess += 1
       Geometry.dist(x, c)
+    }
+
+    /** Counted squared distances from a data point to `cnt` centroids
+      * (`Geometry.distSqMany`), returned in `dBuf`.
+      */
+    final def distSqs(x: Array[Double], cs: Array[Array[Double]], idx: Array[Int],
+                      cnt: Int): Array[Double] = {
+      m.dist += cnt; m.pointAccess += cnt
+      Geometry.distSqMany(x, cs, idx, cnt, dBuf)
+      dBuf
     }
 
     /** The last `nearest` scan's nearest and second-nearest distance, and
@@ -144,13 +160,14 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
       * nearest one.
       */
     final def nearest(x: Array[Double], cs: Array[Array[Double]]): Int = {
+      val dd = distSqs(x, cs, null, k)
       var best = 0; var sec = -1
-      var n1 = cdist(x, cs(0)); var n2 = Double.PositiveInfinity
+      var n1 = math.sqrt(dd(0)); var n2 = Double.PositiveInfinity
       var j = 1
       while (j < k) {
-        val dd = cdist(x, cs(j))
-        if (dd < n1) { n2 = n1; sec = best; n1 = dd; best = j }
-        else if (dd < n2) { n2 = dd; sec = j }
+        val dj = math.sqrt(dd(j))
+        if (dj < n1) { n2 = n1; sec = best; n1 = dj; best = j }
+        else if (dj < n2) { n2 = dj; sec = j }
         j += 1
       }
       d1 = n1; d2 = n2; second = sec

@@ -36,7 +36,7 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
 
   /** A block's scratch: the group scan and Regroup's remap buffer. */
   protected final class Ctx extends Block {
-    val gs = new GroupScan(t)
+    val gs = new GroupScan(t, k)
     val remapBuf = new Array[Double](t)
   }
   protected def newBlock(): Ctx = new Ctx

@@ -48,9 +48,12 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree
   * node left with one candidate goes to it whole through its sum vector;
   * a leaf's points are scanned against the surviving candidates.
   *
+  * Both scans are batched (`Geometry.distSqMany`): a node's pivot against
+  * its candidates, and a leaf point against the candidates kept.
+  *
   * A split node holding at least two blocks' worth of points
   * (`Blocks.count`) hands its two subtrees to separate tasks on the
-  * ForkJoin pool; each task has its own pivot-distance buffer, counters and
+  * ForkJoin pool; each task has its own distance buffers, counters and
   * mover count and writes only its own nodes' and points' slots (`assign`,
   * and a seeder's per-node and per-point bounds). Each task records the
   * nodes and leaves it emitted, and after the join they are added into
@@ -72,16 +75,13 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
     */
   private final class Walk(val m: Metrics) {
     val dBuf = new Array[Double](k)    // d(pivot, cand(c)) at the current node
-    var pBuf: Array[Double] = null     // a point's squared distances; seeding only
+    val pBuf = new Array[Double](k)    // a leaf point's squared distances
     var moved = 0L
     val nodes = new ArrayBuffer[BallNode]
     val to = new ArrayBuffer[Int]
     var left: Walk = null
     var right: Walk = null
   }
-
-  // The calling task's walk, counting into `m`; kept from run to run.
-  @transient private var top: Walk = null
 
   /** Assigns every point to its nearest centroid, adds points and whole
     * nodes into `sums`/`counts` and returns the number of points that
@@ -114,20 +114,15 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
     def emit(w: Walk, nd: BallNode, j: Int): Unit =
       if (direct) place(nd, j, scanned = true) else { w.nodes += nd; w.to += j }
 
-    def walk(wm: Metrics): Walk = {
-      val w = new Walk(wm)
-      if (seeder != null) w.pBuf = new Array[Double](k)
-      w
-    }
-
     def rec(w: Walk, nd: BallNode, cand: Array[Int]): Unit = {
       val m = w.m; val dBuf = w.dBuf
       m.nodeAccess += 1
+      Geometry.distSqMany(nd.pivot, cs, cand, cand.length, dBuf)
+      m.dist += cand.length
       var best = -1; var d1 = Double.PositiveInfinity
       var c = 0
       while (c < cand.length) {
-        m.dist += 1
-        val dd = Geometry.dist(nd.pivot, cs(cand(c)))
+        val dd = math.sqrt(dBuf(c))
         dBuf(c) = dd
         if (dd < d1) { d1 = dd; best = cand(c) }
         c += 1
@@ -156,13 +151,12 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
         while (z < nd.end) {
           val i = tree.perm(z)
           val x = points(i)
+          Geometry.distSqMany(x, cs, next, next.length, pd)
+          m.dist += next.length; m.pointAccess += next.length
           var b = 0; var bd = Double.PositiveInfinity
           var c2 = 0
           while (c2 < next.length) {
-            m.dist += 1; m.pointAccess += 1
-            val dd = Geometry.distSq(x, cs(next(c2)))
-            if (pd != null) pd(c2) = dd
-            if (dd < bd) { bd = dd; b = c2 }
+            if (pd(c2) < bd) { bd = pd(c2); b = c2 }
             c2 += 1
           }
           val bj = next(b)
@@ -173,7 +167,7 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
         }
         emit(w, nd, -1)
       } else if (nd.num >= forkAt) {
-        val l = walk(new Metrics); val r = walk(new Metrics)
+        val l = new Walk(new Metrics); val r = new Walk(new Metrics)
         w.left = l; w.right = r
         ForkJoinTask.invokeAll(task(rec(l, nd.left, next)), task(rec(r, nd.right, next)))
       } else {
@@ -197,9 +191,7 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
 
     if (tree.root == null) 0L
     else {
-      if (top == null) top = new Walk(m)
-      if (seeder != null && top.pBuf == null) top.pBuf = new Array[Double](k)
-      top.moved = 0L; top.nodes.clear(); top.to.clear(); top.left = null; top.right = null
+      val top = new Walk(m)
       rec(top, tree.root, IndexSort.iota(k))
       replay(top)
     }

@@ -94,6 +94,20 @@ object BallTree {
     var nodeId = 0
     var leafCnt = 0
     val pointPsi = new Array[Double](n)
+    val sq = new Array[Double](n)
+
+    /** sq(z) = distSq(q, point at perm(z)) for z in [start, end): four points
+      * per `Geometry.distSq4` pass.
+      */
+    def distSqTo(q: Array[Double], start: Int, end: Int): Unit = {
+      var z = start
+      while (z + 4 <= end) {
+        Geometry.distSq4(q, points(perm(z)), points(perm(z + 1)), points(perm(z + 2)),
+          points(perm(z + 3)), sq, z)
+        z += 4
+      }
+      while (z < end) { sq(z) = Geometry.distSq(q, points(perm(z))); z += 1 }
+    }
 
     def mkNode(start: Int, end: Int, parentPivot: Array[Double], height: Int): BallNode = {
       val num = end - start
@@ -102,10 +116,11 @@ object BallTree {
       var z = start
       while (z < end) { Geometry.addTo(sv, points(perm(z))); z += 1 }
       val pivot = sv.map(_ / math.max(1, num))
+      distSqTo(pivot, start, end)
       var radius = 0.0
       z = start
       while (z < end) {
-        val dd = Geometry.dist(pivot, points(perm(z)))
+        val dd = math.sqrt(sq(z))
         if (dd > radius) radius = dd
         z += 1
       }
@@ -115,7 +130,7 @@ object BallTree {
       if (num <= capacity || radius == 0.0) {
         leafCnt += 1
         z = start
-        while (z < end) { pointPsi(perm(z)) = Geometry.dist(pivot, points(perm(z))); z += 1 }
+        while (z < end) { pointPsi(perm(z)) = math.sqrt(sq(z)); z += 1 }
         new BallNode(id, pivot, radius, sv, num, start, end, psi, height, null, null)
       } else {
         val mid = split(start, end, pivot, radius)
@@ -123,6 +138,18 @@ object BallTree {
         val right = mkNode(mid, end, pivot, height + 1)
         new BallNode(id, pivot, radius, sv, num, start, end, psi, height, left, right)
       }
+    }
+
+    /** The first point of perm[start, end) farthest from q. */
+    def farthest(q: Array[Double], start: Int, end: Int): Int = {
+      distSqTo(q, start, end)
+      var f = perm(start); var best = -1.0
+      var z = start
+      while (z < end) {
+        if (sq(z) > best) { best = sq(z); f = perm(z) }
+        z += 1
+      }
+      f
     }
 
     /** Partition perm[start,end) into two halves per `kind`; returns the
@@ -133,21 +160,8 @@ object BallTree {
       val (c1, c2) = kind match {
         case Ball =>
           // farthest point from a random seed, then farthest from that
-          val s = points(perm(start + rnd.nextInt(num)))
-          var f1 = perm(start); var best = -1.0
-          var z = start
-          while (z < end) {
-            val dd = Geometry.distSq(s, points(perm(z)))
-            if (dd > best) { best = dd; f1 = perm(z) }
-            z += 1
-          }
-          var f2 = perm(start); best = -1.0
-          z = start
-          while (z < end) {
-            val dd = Geometry.distSq(points(f1), points(perm(z)))
-            if (dd > best) { best = dd; f2 = perm(z) }
-            z += 1
-          }
+          val f1 = farthest(points(perm(start + rnd.nextInt(num))), start, end)
+          val f2 = farthest(points(f1), start, end)
           (points(f1), points(f2))
         case MTree =>
           val a = perm(start + rnd.nextInt(num))

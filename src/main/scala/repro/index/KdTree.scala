@@ -127,6 +127,21 @@ final class KdKMeansState(points: Array[Array[Double]], k: Int)
       dz > dzs
     }
 
+    val sq = new Array[Double](k)
+
+    /** The first nearest of `cand` to q, by squared distance (batched). */
+    def nearestSq(q: Array[Double], cand: Array[Int]): Int = {
+      Geometry.distSqMany(q, cs, cand, cand.length, sq)
+      m.dist += cand.length
+      var best = cand(0); var bd = Double.PositiveInfinity
+      var c = 0
+      while (c < cand.length) {
+        if (sq(c) < bd) { bd = sq(c); best = cand(c) }
+        c += 1
+      }
+      best
+    }
+
     def rec(nd: KdNode, cand: Array[Int]): Unit = {
       m.nodeAccess += 1
       if (nd.isLeaf) {
@@ -134,14 +149,8 @@ final class KdKMeansState(points: Array[Array[Double]], k: Int)
         while (z < nd.end) {
           val i = tree.perm(z)
           val x = points(i)
-          var best = cand(0); var bd = Double.PositiveInfinity
-          var c = 0
-          while (c < cand.length) {
-            m.dist += 1; m.pointAccess += 1
-            val dd = Geometry.distSq(x, cs(cand(c)))
-            if (dd < bd) { bd = dd; best = cand(c) }
-            c += 1
-          }
+          val best = nearestSq(x, cand)
+          m.pointAccess += cand.length
           if (assign(i) != best) { assign(i) = best; movedThisIter += 1 }
           Geometry.addTo(sums(best), x); counts(best) += 1
           z += 1
@@ -151,14 +160,7 @@ final class KdKMeansState(points: Array[Array[Double]], k: Int)
         val mid = new Array[Double](d)
         var i = 0
         while (i < d) { mid(i) = 0.5 * (nd.lo(i) + nd.hi(i)); i += 1 }
-        var zs = cand(0); var bd = Double.PositiveInfinity
-        var c = 0
-        while (c < cand.length) {
-          m.dist += 1
-          val dd = Geometry.distSq(mid, cs(cand(c)))
-          if (dd < bd) { bd = dd; zs = cand(c) }
-          c += 1
-        }
+        val zs = nearestSq(mid, cand)
         val kept = cand.filter(j => j == zs || !farther(cs(j), cs(zs), nd.lo, nd.hi))
         if (kept.length == 1) bulkAssign(nd, kept(0))
         else { rec(nd.left, kept); rec(nd.right, kept) }

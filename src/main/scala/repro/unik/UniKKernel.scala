@@ -89,8 +89,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
   private var step1Nanos = -1L
   private var chosenSingle = true
 
-  private var gs: GroupScan = null // the cluster pass's scratch
-
   def step(info: CentroidInfo): Partials = {
     if (t == 0) {
       t = info.groups.nGroups
@@ -99,7 +97,6 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
       ptUb = new Array[Double](n)
       ptGlb = new Array[Double](n * t)
       lists = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
-      gs = new GroupScan(t)
     }
     moved = 0
     opVec.clear(); opNum.clear(); opFrom.clear(); opTo.clear(); opPoint.clear()
@@ -207,9 +204,9 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
   // Cluster pass (index-single): drift-update bounds, test, split, move.
   // ------------------------------------------------------------------
   private def clusterPass(info: CentroidInfo): Unit = {
-    val gi = info.groups
     val newLists = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
     val stack = new scala.collection.mutable.ArrayBuffer[Int]
+    val gs = new GroupScan(t, k)
 
     var cl = 0
     while (cl < k) {
@@ -221,17 +218,18 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
       }
       while (stack.nonEmpty) {
         val obj = stack.remove(stack.length - 1)
-        processObject(obj, cl, info, gi, newLists, stack)
+        processObject(obj, cl, info, gs, newLists, stack)
       }
       cl += 1
     }
     lists = newLists
   }
 
-  private def processObject(obj: Int, cl: Int, info: CentroidInfo, gi: GroupInfo,
+  private def processObject(obj: Int, cl: Int, info: CentroidInfo, gs: GroupScan,
                             newLists: Array[scala.collection.mutable.ArrayBuffer[Int]],
                             stack: scala.collection.mutable.ArrayBuffer[Int]): Unit = {
     val cs = info.centroids
+    val gi = info.groups
     val isNode = obj > 0
     val nd = if (isNode) nodesById(obj - 1) else null
     val pi = if (isNode) -1 else -obj - 1

@@ -67,6 +67,43 @@ class GeometrySpec extends AnyFunSuite {
     }
   }
 
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+
+  private val batchDims = Seq(0, 1, 3, 4, 5, 57)
+
+  test("distSq4 gives the bits of distSq, with either role as the shared vector") {
+    val rnd = new Random(6L)
+    for (d <- batchDims; _ <- 0 until 20) {
+      val x = randVec(rnd, d)
+      val c = Array.fill(4)(randVec(rnd, d))
+      val out = Array.fill(7)(Double.NaN)
+      Geometry.distSq4(x, c(0), c(1), c(2), c(3), out, 2)
+      for (q <- 0 until 4) assert(bits(out(2 + q)) == bits(Geometry.distSq(x, c(q))), s"d=$d q=$q")
+      assert(Seq(0, 1, 6).forall(o => out(o).isNaN), "distSq4 wrote outside out(o .. o+3)")
+      // the roles swapped: four points against one centre, as k-means++ runs it
+      val centre = randVec(rnd, d)
+      Geometry.distSq4(centre, c(0), c(1), c(2), c(3), out, 0)
+      for (q <- 0 until 4)
+        assert(bits(out(q)) == bits(Geometry.distSq(c(q), centre)), s"d=$d q=$q swapped")
+    }
+  }
+
+  test("distSqMany gives the bits of distSq for every count, with and without idx") {
+    val rnd = new Random(7L)
+    for (d <- batchDims; m <- 0 to 9) {
+      val x = randVec(rnd, d)
+      val cs = Array.fill(m + 3)(randVec(rnd, d))
+      val out = new Array[Double](m)
+      Geometry.distSqMany(x, cs, null, m, out)
+      for (q <- 0 until m) assert(bits(out(q)) == bits(Geometry.distSq(x, cs(q))), s"d=$d m=$m q=$q")
+      // any centroids in any order, repeats allowed
+      val idx = Array.fill(m)(rnd.nextInt(cs.length))
+      Geometry.distSqMany(x, cs, idx, m, out)
+      for (q <- 0 until m)
+        assert(bits(out(q)) == bits(Geometry.distSq(x, cs(idx(q)))), s"d=$d m=$m q=$q idx")
+    }
+  }
+
   test("copy2 is a deep copy") {
     val m = Array(Array(1.0, 2.0), Array(3.0, 4.0))
     val c = Geometry.copy2(m)

@@ -45,8 +45,9 @@ class InitSpec extends AnyFunSuite {
     assert(c.forall(x => asSet.contains(x.toSeq)))
   }
 
-  /** k-means++ as one sequential pass over the points: the reference the
-    * block-parallel update of `Init.kmeansPlusPlus` must reproduce exactly.
+  /** k-means++ as one sequential pass over the points, one `distSq` at a
+    * time: the reference the block-parallel, four-wide update of
+    * `Init.kmeansPlusPlus` must reproduce exactly.
     */
   private def sequentialPlusPlus(points: Array[Array[Double]], k: Int, seed: Long): Array[Array[Double]] = {
     val rnd = new scala.util.Random(seed)
@@ -100,6 +101,16 @@ class InitSpec extends AnyFunSuite {
     val same = Array.fill(3000)(Array(0.25, -1.5, 3.0))
     assert(Blocks.count(same.length) > 1)
     assert(sameBits(Init.kmeansPlusPlus(same, 6, 9L), sequentialPlusPlus(same, 6, 9L)))
+  }
+
+  test("kmeans++ equals the one-distance-at-a-time pass for n = 0, 1, 2, 3 (mod 4), pooled and on one thread") {
+    // small n: one block, a 4-point tail of every length; large n: several blocks on the pool
+    for (n <- Seq(40, 41, 42, 43, 4096, 4097, 4098, 4099)) {
+      val data = TestData.mixture(n, 7, 12, 0.05, 60L + n)
+      val ref = sequentialPlusPlus(data, 16, 61L)
+      assert(sameBits(Init.kmeansPlusPlus(data, 16, 61L), ref), s"n=$n, common pool")
+      assert(sameBits(Blocks.oneThread(Init.kmeansPlusPlus(data, 16, 61L)), ref), s"n=$n, one thread")
+    }
   }
 
   test("centroids are defensive copies") {
