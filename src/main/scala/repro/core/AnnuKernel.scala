@@ -21,11 +21,11 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
   private val xNorm: Array[Double] = points.map(Geometry.norm)
 
   override protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit =
-    twoNearest(i, x, info.centroids, b)
+    twoNearest(i, x, info, b)
 
   /** The full scan, also recording which centroid was second nearest. */
-  private def twoNearest(i: Int, x: Array[Double], cs: Array[Array[Double]], b: Block): Unit = {
-    fullScan(i, x, cs, b)
+  private def twoNearest(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit = {
+    fullScan(i, x, info, b)
     second(i) = if (b.second >= 0) b.second else assign(i)
   }
 
@@ -58,7 +58,7 @@ final class AnnuState(points: Array[Array[Double]], k: Int)
       else if (dd < d2) { d2 = dd; sec = j }
       z += 1
     }
-    if (best < 0) { twoNearest(i, x, cs, b); return } // numeric safety net
+    if (best < 0) { twoNearest(i, x, info, b); return } // numeric safety net
     ub(i) = d1; lb(i) = d2; second(i) = if (sec >= 0) sec else best
     b.m.boundUpdate += 2
     b.reassign(i, best)

@@ -41,7 +41,8 @@ final class GroupInfo(
 ) extends Serializable
 
 /** Everything the assignment step needs about this iteration's centroids.
-  * Immutable; broadcast to partitions by the Spark runner.
+  * Immutable; broadcast to partitions by the Spark runner. `panel` is not
+  * part of what is broadcast: each JVM builds it from `centroids` once.
   */
 final class CentroidInfo(
     val iter: Int, // the driver's 1-based iteration; iter 1 has zero drifts. States
@@ -63,10 +64,19 @@ final class CentroidInfo(
     val blockB2: Array[Double],
     val groups: GroupInfo,
     val radii: Array[Double],
-    val candidates: Array[Array[Int]]
+    val candidates: Array[Array[Int]],
+    @transient private val built: Array[Array[Double]] = null
 ) extends Serializable {
 
   val k: Int = centroids.length
+
+  /** The centroids' dimension-major panel (`Geometry.panel`), read by every
+    * all-centroid scan. Transient, so never serialized: `compute` hands over
+    * the one it built for `cc`, and a deserialized copy rebuilds it on first
+    * use.
+    */
+  @transient lazy val panel: Array[Array[Double]] =
+    if (built != null) built else Geometry.panel(centroids)
 
   /** Max drift among clusters other than j (for global-bound degradation). */
   def maxDriftOther(j: Int): Double = if (maxDriftIdx == j) maxDrift2 else maxDrift
@@ -97,15 +107,27 @@ object CentroidInfo {
       j += 1
     }
 
-    val cc = if (req.cc) pairwiseDistances(centroids) else null
+    // The k×k centroid distances, one full row per task on the common
+    // ForkJoin pool: row a is centroid a against the panel, in the bits of
+    // `Geometry.dist`. As (a−b)² == (b−a)² exactly, cc(a)(b) and cc(b)(a)
+    // have the same bits, so no cell is mirrored. Each task also takes its
+    // row's nearest other centroid and, for Exponion, its annuli.
+    val panel = if (req.cc) Geometry.panel(centroids) else null
+    val cc = if (req.cc) new Array[Array[Double]](k) else null
     val nearestOther = if (req.cc) new Array[Double](k) else null
     val neighbors = if (req.neighbors) new Array[Array[Int]](k) else null
     if (req.cc) {
       java.util.stream.IntStream.range(0, k).parallel().forEach { a =>
-        val row = cc(a)
+        val row = new Array[Double](k)
+        Geometry.distSqPanel(centroids(a), panel, k, row)
         var no = Double.PositiveInfinity
         var b = 0
-        while (b < k) { if (b != a && row(b) < no) no = row(b); b += 1 }
+        while (b < k) {
+          row(b) = math.sqrt(row(b))
+          if (b != a && row(b) < no) no = row(b)
+          b += 1
+        }
+        cc(a) = row
         nearestOther(a) = no
         if (neighbors != null) neighbors(a) = annuli(a, row)
       }
@@ -176,27 +198,7 @@ object CentroidInfo {
 
     new CentroidInfo(iter, centroids, drifts, md, mdIdx, md2, cc, sc, nearestOther,
       neighbors, norms, normSq, sortedNormIdx, sortedNormVal, blockB1, blockB2,
-      groups, radii, candidates)
-  }
-
-  /** The symmetric k×k centroid distance matrix, rows built in parallel on the
-    * common ForkJoin pool. Row a owns the pairs (a, b > a) and writes both
-    * mirror cells, so every cell is written once, by the same
-    * `Geometry.dist` call a sequential triangle makes: the result is
-    * bit-identical to it.
-    */
-  private def pairwiseDistances(centroids: Array[Array[Double]]): Array[Array[Double]] = {
-    val k = centroids.length
-    val cc = Array.ofDim[Double](k, k)
-    java.util.stream.IntStream.range(0, k).parallel().forEach { a =>
-      var b = a + 1
-      while (b < k) {
-        val d = Geometry.dist(centroids(a), centroids(b))
-        cc(a)(b) = d; cc(b)(a) = d
-        b += 1
-      }
-    }
-    cc
+      groups, radii, candidates, panel)
   }
 
   /** Exponion annuli of centroid a [Newling & Fleuret, ICML'16]: a permutation
@@ -285,9 +287,10 @@ object Grouper {
     val sq = new Array[Double](t)
     var it = 0
     while (it < iters) {
+      val panel = Geometry.panel(centers)
       var i = 0
       while (i < n) {
-        Geometry.distSqMany(pts(i), centers, null, t, sq)
+        Geometry.distSqPanel(pts(i), panel, t, sq)
         var best = 0; var bd = Double.PositiveInfinity
         var g = 0
         while (g < t) {

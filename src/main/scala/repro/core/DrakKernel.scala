@@ -30,7 +30,7 @@ final class DrakState(points: Array[Array[Double]], k: Int)
 
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, blk: Block): Unit = {
     var i = from
-    while (i < until) { fullScan(i, points(i), info.centroids, blk); i += 1 }
+    while (i < until) { fullScan(i, points(i), info, blk); i += 1 }
   }
 
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, blk: Block): Unit = {
@@ -70,7 +70,7 @@ final class DrakState(points: Array[Array[Double]], k: Int)
           }
           if (d1 > rest(i)) {
             // Some unstored centroid might still win — full rebuild.
-            fullScan(i, x, cs, blk)
+            fullScan(i, x, info, blk)
           } else {
             if (best != a) {
               // The stored list must keep covering every non-assigned
@@ -96,8 +96,8 @@ final class DrakState(points: Array[Array[Double]], k: Int)
     * place and the b+1 nearest before it, which are then sorted. The
     * (distance, centroid) pairs live in the block's scratch.
     */
-  private def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]], blk: Block): Unit = {
-    val dTmp = blk.distSqs(x, cs, null, k); val order = blk.iBuf
+  private def fullScan(i: Int, x: Array[Double], info: CentroidInfo, blk: Block): Unit = {
+    val dTmp = blk.distSqsAll(x, info); val order = blk.iBuf
     var j = 0
     while (j < k) { dTmp(j) = math.sqrt(dTmp(j)); order(j) = j; j += 1 }
     if (b + 1 < k) IndexSort.select(dTmp, order, 0, k - 1, b + 1)

@@ -5,10 +5,13 @@ package repro.core
   * vectorize them; no allocation inside loops.
   *
   * Every distance is summed in coordinate order in one accumulator of its
-  * own, so a distance has the same bits whichever path computes it.
-  * `distSq4` and `distSqMany` are the batched path: they run four such sums
-  * side by side, which breaks the one serial chain of adds per distance
-  * without reordering any of them.
+  * own, so a distance has the same bits whichever path computes it. There
+  * are two batched paths besides `distSq`, and neither reorders an add:
+  *  - `distSq4` and `distSqMany` run four such sums side by side, over a
+  *    gathered candidate list;
+  *  - `distSqPanel` runs all k sums of one point side by side, over a
+  *    dimension-major `panel` of the centroids (one array per coordinate),
+  *    so its inner loop over the k centroids vectorizes.
   */
 object Geometry {
 
@@ -45,22 +48,53 @@ object Geometry {
     out(o) = s0; out(o + 1) = s1; out(o + 2) = s2; out(o + 3) = s3
   }
 
-  /** `out(q) = distSq(x, cs(idx(q)))` for q < m (`cs(q)` when `idx` is
-    * null), with the same bits: four at a time through `distSq4`, the rest
-    * one by one.
+  /** `out(q) = distSq(x, cs(idx(q)))` for q < m, with the same bits: four
+    * at a time through `distSq4`, the rest one by one.
     */
   def distSqMany(x: Array[Double], cs: Array[Array[Double]], idx: Array[Int], m: Int,
                  out: Array[Double]): Unit = {
     var q = 0
-    if (idx == null) {
-      while (q + 4 <= m) { distSq4(x, cs(q), cs(q + 1), cs(q + 2), cs(q + 3), out, q); q += 4 }
-      while (q < m) { out(q) = distSq(x, cs(q)); q += 1 }
-    } else {
-      while (q + 4 <= m) {
-        distSq4(x, cs(idx(q)), cs(idx(q + 1)), cs(idx(q + 2)), cs(idx(q + 3)), out, q)
-        q += 4
-      }
-      while (q < m) { out(q) = distSq(x, cs(idx(q))); q += 1 }
+    while (q + 4 <= m) {
+      distSq4(x, cs(idx(q)), cs(idx(q + 1)), cs(idx(q + 2)), cs(idx(q + 3)), out, q)
+      q += 4
+    }
+    while (q < m) { out(q) = distSq(x, cs(idx(q))); q += 1 }
+  }
+
+  /** The dimension-major panel of `cs`: `panel(z)(j) = cs(j)(z)`, one array
+    * per coordinate.
+    */
+  def panel(cs: Array[Array[Double]]): Array[Array[Double]] = {
+    val k = cs.length
+    val d = if (k == 0) 0 else cs(0).length
+    val p = Array.ofDim[Double](d, k)
+    var j = 0
+    while (j < k) {
+      val c = cs(j)
+      var z = 0
+      while (z < d) { p(z)(j) = c(z); z += 1 }
+      j += 1
+    }
+    p
+  }
+
+  /** `out(j) = distSq(x, c_j)` for j < k, with the same bits, where
+    * `panel = Geometry.panel(c)`: for z = 0..d−1 in order, one pass over j
+    * adds (x_z − c_jz)² into `out(j)`. Each lane is `distSq`'s chain of adds,
+    * and Java rounds every multiply and add on its own (no fused
+    * multiply-add), so the lanes can run in SIMD registers without changing a
+    * bit. As (a−b)² == (b−a)² exactly, `out(j)` is also `distSq(c_j, x)`.
+    */
+  def distSqPanel(x: Array[Double], panel: Array[Array[Double]], k: Int,
+                  out: Array[Double]): Unit = {
+    java.util.Arrays.fill(out, 0, k, 0.0)
+    var z = 0
+    while (z < panel.length) {
+      val v = x(z)
+      val p = panel(z)
+      var j = 0
+      while (j < k) { val t = v - p(j); out(j) += t * t; j += 1 }
+      z += 1
     }
   }
 

@@ -12,8 +12,9 @@ package repro.core
   * t accesses, `scan` counts t accesses and its distances, `refresh` its
   * updates. A point caller also counts `dists` point accesses.
   *
-  * Distances are computed a group (or, seeding, all k centroids) at a time
-  * with `Geometry.distSqMany` and visited in member order.
+  * Distances are computed a group at a time with `Geometry.distSqMany`, or,
+  * seeding, all k at once over the centroid panel (`Geometry.distSqPanel`),
+  * and visited in member order.
   *
   * The scratch serves one object at a time, so one instance belongs to one
   * thread.
@@ -37,13 +38,14 @@ final class GroupScan(t: Int, k: Int) extends Serializable {
   /** The state's first step: visits all centroids in index order, sets
     * every group bound, and returns the first nearest centroid.
     */
-  def seed(x: Array[Double], cs: Array[Array[Double]], gi: GroupInfo,
-           bounds: Array[Double], base: Int, m: Metrics): Int = {
+  def seed(x: Array[Double], info: CentroidInfo, bounds: Array[Double], base: Int,
+           m: Metrics): Int = {
+    val gi = info.groups
     reset(-1, Double.PositiveInfinity)
-    Geometry.distSqMany(x, cs, null, cs.length, sq)
+    Geometry.distSqPanel(x, info.panel, k, sq)
     var j = 0
-    while (j < cs.length) { visit(gi.of(j), j, math.sqrt(sq(j))); j += 1 }
-    dists = cs.length
+    while (j < k) { visit(gi.of(j), j, math.sqrt(sq(j))); j += 1 }
+    dists = k
     m.dist += dists
     var g = 0
     while (g < t) { bounds(base + g) = nearestBut(g, best); g += 1 }

@@ -33,7 +33,7 @@ abstract class HamerlyState(points: Array[Array[Double]], k: Int)
 
   /** Point i's scan on the state's first step: sets ub, lb and the cluster. */
   protected def seedScan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit =
-    fullScan(i, x, info.centroids, b)
+    fullScan(i, x, info, b)
 
   /** Point i's scan after both tests failed; ub(i) is the exact d(x, c_a).
     * Sets ub, lb and the cluster.
@@ -65,8 +65,8 @@ abstract class HamerlyState(points: Array[Array[Double]], k: Int)
   }
 
   /** Scan all k centroids; set ub = nearest, lb = second nearest. */
-  protected final def fullScan(i: Int, x: Array[Double], cs: Array[Array[Double]], b: Block): Unit = {
-    val best = b.nearest(x, cs)
+  protected final def fullScan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit = {
+    val best = b.nearest(x, info)
     ub(i) = b.d1; lb(i) = b.d2
     b.m.boundUpdate += 2
     b.reassign(i, best)
@@ -77,5 +77,5 @@ final class HameState(points: Array[Array[Double]], k: Int)
     extends HamerlyState(points, k) {
 
   protected def rescan(i: Int, x: Array[Double], info: CentroidInfo, b: Block): Unit =
-    fullScan(i, x, info.centroids, b)
+    fullScan(i, x, info, b)
 }

@@ -30,12 +30,11 @@ final class HeapState(points: Array[Array[Double]], k: Int)
 
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     var i = from
-    while (i < until) { scanAndPush(i, info.centroids, b); i += 1 }
+    while (i < until) { scanAndPush(i, info, b); i += 1 }
   }
 
   /** Walks every cluster's heap, so [from, until) is always [0, n). */
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
-    val cs = info.centroids
     var j = 0
     while (j < k) {
       offset(j) += info.drifts(j) + info.maxDriftOther(j)
@@ -50,7 +49,7 @@ final class HeapState(points: Array[Array[Double]], k: Int)
         if (heapKey(j)(0) - offset(j) < 0) {
           val i = heapPt(j)(0)
           pop(j)
-          scanAndPush(i, cs, b)
+          scanAndPush(i, info, b)
         } else go = false
       }
       j += 1
@@ -58,8 +57,8 @@ final class HeapState(points: Array[Array[Double]], k: Int)
   }
 
   /** Full scan of point i; push its new gap into its cluster's heap. */
-  private def scanAndPush(i: Int, cs: Array[Array[Double]], b: Block): Unit = {
-    val best = b.nearest(points(i), cs)
+  private def scanAndPush(i: Int, info: CentroidInfo, b: Block): Unit = {
+    val best = b.nearest(points(i), info)
     b.reassign(i, best)
     push(best, (b.d2 - b.d1) + offset(best), i)
     b.m.boundUpdate += 1

@@ -20,8 +20,7 @@ final class LloydState(points: Array[Array[Double]], k: Int)
   protected def newBlock(): Block = new Block
 
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
-    val cs = info.centroids
     var i = from
-    while (i < until) { b.reassign(i, b.nearest(points(i), cs)); i += 1 }
+    while (i < until) { b.reassign(i, b.nearest(points(i), info)); i += 1 }
   }
 }

@@ -25,10 +25,9 @@ final class Pami20State(points: Array[Array[Double]], k: Int)
   protected def newBlock(): Block = new Block
 
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
-    val cs = info.centroids
     var i = from
     while (i < until) {
-      val best = b.nearest(points(i), cs)
+      val best = b.nearest(points(i), info)
       ub(i) = b.d1
       b.reassign(i, best)
       i += 1

@@ -139,13 +139,23 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
       Geometry.dist(x, c)
     }
 
-    /** Counted squared distances from a data point to `cnt` centroids
-      * (`Geometry.distSqMany`), returned in `dBuf`.
+    /** Counted squared distances from a data point to the `cnt` centroids
+      * `idx` names (`Geometry.distSqMany`), returned in `dBuf`.
       */
     final def distSqs(x: Array[Double], cs: Array[Array[Double]], idx: Array[Int],
                       cnt: Int): Array[Double] = {
       m.dist += cnt; m.pointAccess += cnt
       Geometry.distSqMany(x, cs, idx, cnt, dBuf)
+      dBuf
+    }
+
+    /** Counted squared distances from a data point to all k centroids, in
+      * index order, through the centroid panel (`Geometry.distSqPanel`),
+      * returned in `dBuf`.
+      */
+    final def distSqsAll(x: Array[Double], info: CentroidInfo): Array[Double] = {
+      m.dist += k; m.pointAccess += k
+      Geometry.distSqPanel(x, info.panel, k, dBuf)
       dBuf
     }
 
@@ -159,8 +169,8 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
     /** Counted scan of all k centroids in index order; returns the first
       * nearest one.
       */
-    final def nearest(x: Array[Double], cs: Array[Array[Double]]): Int = {
-      val dd = distSqs(x, cs, null, k)
+    final def nearest(x: Array[Double], info: CentroidInfo): Int = {
+      val dd = distSqsAll(x, info)
       var best = 0; var sec = -1
       var n1 = math.sqrt(dd(0)); var n2 = Double.PositiveInfinity
       var j = 1

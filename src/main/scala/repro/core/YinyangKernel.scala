@@ -50,7 +50,7 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Ctx): Unit = {
     var i = from
     while (i < until) {
-      val best = b.gs.seed(points(i), info.centroids, info.groups, glb, i * t, b.m)
+      val best = b.gs.seed(points(i), info, glb, i * t, b.m)
       b.m.pointAccess += b.gs.dists
       ub(i) = b.gs.d1
       b.reassign(i, best)

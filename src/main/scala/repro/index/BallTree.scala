@@ -50,11 +50,13 @@ final class BallTree(
   }
 
   /** Indices of all points with ‖x − q‖ ≤ r (counts node visits/distances
-    * into the supplied counters via the callback).
+    * into the supplied counters via the callback). A leaf's points are
+    * measured four per `Geometry.distSq4` pass, in leaf order.
     */
   def rangeSearch(q: Array[Double], r: Double,
                   onNode: () => Unit = () => (), onDist: () => Unit = () => ()): Array[Int] = {
     val out = new scala.collection.mutable.ArrayBuffer[Int]
+    val sq = new Array[Double](4)
     def rec(nd: BallNode): Unit = {
       onNode()
       onDist()
@@ -66,9 +68,21 @@ final class BallTree(
       } else if (nd.isLeaf) {
         var z = nd.start
         while (z < nd.end) {
-          onDist()
-          if (Geometry.dist(q, points(perm(z))) <= r) out += perm(z)
-          z += 1
+          val cnt = math.min(4, nd.end - z)
+          if (cnt == 4)
+            Geometry.distSq4(q, points(perm(z)), points(perm(z + 1)), points(perm(z + 2)),
+              points(perm(z + 3)), sq, 0)
+          else {
+            var u = 0
+            while (u < cnt) { sq(u) = Geometry.distSq(q, points(perm(z + u))); u += 1 }
+          }
+          var u = 0
+          while (u < cnt) {
+            onDist()
+            if (math.sqrt(sq(u)) <= r) out += perm(z + u)
+            u += 1
+          }
+          z += cnt
         }
       } else { rec(nd.left); rec(nd.right) }
     }

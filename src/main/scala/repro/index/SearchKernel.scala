@@ -51,10 +51,9 @@ final class SearchState(points: Array[Array[Double]], k: Int, seed: Long)
 
   /** The Lloyd scan of the points no range search assigned. */
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
-    val cs = info.centroids
     var i = from
     while (i < until) {
-      if (!done(i)) b.reassign(i, b.nearest(points(i), cs))
+      if (!done(i)) b.reassign(i, b.nearest(points(i), info))
       i += 1
     }
   }

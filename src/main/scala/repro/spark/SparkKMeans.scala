@@ -45,9 +45,12 @@ object SparkKMeans {
         .persist(StorageLevel.MEMORY_ONLY)
       try {
         states.count() // materialize before timing
+        // Partials and SSEs are merged on the driver in partition order, so
+        // the result does not depend on which task finishes first (`RDD.sum`
+        // would add the SSEs in completion order).
         Runner.fit(strategy,
           info => withBroadcast(sc, info)(b => states.map(_.step(b.value)).collect().reduce(_ merge _)),
-          cs => withBroadcast(sc, cs)(b => states.map(_.finalSse(b.value)).sum()),
+          cs => withBroadcast(sc, cs)(b => states.map(_.finalSse(b.value)).collect().foldLeft(0.0)(_ + _)),
           k, init, maxIters, seed)
       } finally states.unpersist(blocking = true)
     }

@@ -100,6 +100,63 @@ class CentroidInfoSpec extends AnyFunSuite {
     }
   }
 
+  // Each row is centroid a against the panel, with no mirrored writes: cc must
+  // still equal the triangle's cells bit for bit and be bit-symmetric.
+  for (k <- Seq(1, 2, 3, 5, 300)) {
+    test(s"panel cc rows are bit-identical to a sequential triangle and bit-symmetric (k=$k)") {
+      val cents = TestData.mixture(k, 57, math.min(k, 20), 0.05, 304L + k)
+      val want = Array.ofDim[Double](k, k)
+      val no = Array.fill(k)(Double.PositiveInfinity)
+      for (a <- 0 until k; b <- a + 1 until k) {
+        val d = Geometry.dist(cents(a), cents(b))
+        want(a)(b) = d; want(b)(a) = d
+        no(a) = math.min(no(a), d); no(b) = math.min(no(b), d)
+      }
+      def bits(v: Double) = java.lang.Double.doubleToRawLongBits(v)
+      val i = CentroidInfo.compute(1, cents, null, Req(neighbors = true), null, null)
+      for (a <- 0 until k) {
+        assert(bits(i.nearestOther(a)) == bits(no(a)), s"nearestOther($a)")
+        assert(bits(i.sc(a)) == bits(no(a) * 0.5), s"sc($a)")
+        for (b <- 0 until k) {
+          assert(bits(i.cc(a)(b)) == bits(want(a)(b)), s"cc($a)($b)")
+          assert(bits(i.cc(a)(b)) == bits(i.cc(b)(a)), s"cc($a)($b) vs cc($b)($a)")
+        }
+      }
+    }
+  }
+
+  private def javaRoundTrip(v: AnyRef): (Array[Byte], AnyRef) = {
+    val bytes = new java.io.ByteArrayOutputStream
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(v); out.close()
+    val in = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+    (bytes.toByteArray, in.readObject())
+  }
+
+  test("the centroid panel is never serialized and is rebuilt with the same bits") {
+    val cents = TestData.mixture(30, 7, 5, 0.05, 305L)
+    val transients = classOf[CentroidInfo].getDeclaredFields.toSeq
+      .filter(f => java.lang.reflect.Modifier.isTransient(f.getModifiers))
+    transients.foreach(_.setAccessible(true))
+    for (req <- Seq(Req(), Req(cc = true))) {
+      val i = CentroidInfo.compute(2, cents, cents.map(_.map(_ - 0.01)), req, null, null)
+      val (untouched, _) = javaRoundTrip(i)
+      val panel = i.panel
+      assert(transients.exists(f => f.get(i) eq panel), s"$req: the panel is not in a transient field")
+      val (bytes, copy0) = javaRoundTrip(i)
+      val copy = copy0.asInstanceOf[CentroidInfo]
+      assert(bytes.sameElements(untouched), s"$req: building the panel changed the serialized bytes")
+      for (f <- transients) {
+        val v = f.get(copy)
+        assert(v == null || v == false || v == 0.toByte, s"$req: transient ${f.getName} came through as $v")
+      }
+      assert(!(copy.panel eq panel))
+      assert(copy.panel.length == panel.length)
+      for ((p, q) <- copy.panel.zip(panel))
+        assert(p.map(java.lang.Double.doubleToRawLongBits).sameElements(q.map(java.lang.Double.doubleToRawLongBits)))
+    }
+  }
+
   test("index sort orders (key, index) pairs like a stable sort by key") {
     val rnd = new scala.util.Random(5L)
     for (n <- 0 to 70) {

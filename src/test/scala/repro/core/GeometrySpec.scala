@@ -94,13 +94,30 @@ class GeometrySpec extends AnyFunSuite {
       val x = randVec(rnd, d)
       val cs = Array.fill(m + 3)(randVec(rnd, d))
       val out = new Array[Double](m)
-      Geometry.distSqMany(x, cs, null, m, out)
+      Geometry.distSqMany(x, cs, IndexSort.iota(m), m, out)
       for (q <- 0 until m) assert(bits(out(q)) == bits(Geometry.distSq(x, cs(q))), s"d=$d m=$m q=$q")
       // any centroids in any order, repeats allowed
       val idx = Array.fill(m)(rnd.nextInt(cs.length))
       Geometry.distSqMany(x, cs, idx, m, out)
       for (q <- 0 until m)
         assert(bits(out(q)) == bits(Geometry.distSq(x, cs(idx(q)))), s"d=$d m=$m q=$q idx")
+    }
+  }
+
+  test("distSqPanel gives the bits of distSq for every k, with either role as the shared vector") {
+    val rnd = new Random(8L)
+    for (d <- batchDims; k <- (0 to 9) ++ Seq(17, 100)) {
+      val x = randVec(rnd, d)
+      val cs = Array.fill(k)(randVec(rnd, d))
+      val panel = Geometry.panel(cs)
+      assert(panel.length == (if (k == 0) 0 else d) && panel.forall(_.length == k), s"d=$d k=$k panel shape")
+      val out = Array.fill(k + 2)(Double.NaN)
+      Geometry.distSqPanel(x, panel, k, out)
+      for (j <- 0 until k) {
+        assert(bits(out(j)) == bits(Geometry.distSq(x, cs(j))), s"d=$d k=$k j=$j")
+        assert(bits(out(j)) == bits(Geometry.distSq(cs(j), x)), s"d=$d k=$k j=$j swapped")
+      }
+      assert(out(k).isNaN && out(k + 1).isNaN, s"d=$d k=$k: distSqPanel wrote past out(k-1)")
     }
   }
 

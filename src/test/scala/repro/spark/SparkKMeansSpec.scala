@@ -87,6 +87,14 @@ class SparkKMeansSpec extends SparkSpec {
     }
   }
 
+  test("Spark's sse is the partition-order sum of the states' final SSEs, bit for bit") {
+    val parts = 5
+    val res = sparkFit(new SparkKMeansSpec.SseOrderProbe(LloydKernel, 17L), parts)
+    val want = (0 until parts).map(SparkKMeansSpec.SseOrderProbe.sseOf(_)).foldLeft(0.0)(_ + _)
+    assert(java.lang.Double.doubleToRawLongBits(res.sse) == java.lang.Double.doubleToRawLongBits(want),
+      s"sse ${res.sse} vs partition-order sum $want")
+  }
+
   test("a failed fit and a bad init leave no cached RDD behind") {
     val sc = spark.sparkContext
     val rdd = sc.parallelize(pts.toSeq, 4)
@@ -125,6 +133,34 @@ class SparkKMeansSpec extends SparkSpec {
 }
 
 object SparkKMeansSpec {
+
+  /** `inner`, except that each state's `finalSse` is `SseOrderProbe.sseOf`
+    * its partition (`SparkKMeans.fit` builds partition p's state with seed
+    * `fitSeed ^ p`), and partition 0 reports 300 ms late, so it finishes
+    * last when tasks run side by side: added in partition order the SSEs
+    * give 1e16, in that completion order 1e16 + 4.
+    */
+  final class SseOrderProbe(inner: Strategy, fitSeed: Long) extends Strategy {
+    val name: String = inner.name
+    val req: Req = inner.req
+
+    def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState = {
+      val state = inner.newState(points, k, seed)
+      val pid = (seed ^ fitSeed).toInt
+      new PartitionState {
+        def step(info: CentroidInfo): Partials = state.step(info)
+        def finalSse(centroids: Array[Array[Double]]): Double = {
+          if (pid == 0) Thread.sleep(300)
+          SseOrderProbe.sseOf(pid)
+        }
+        def assignments: Array[Int] = state.assignments
+      }
+    }
+  }
+
+  object SseOrderProbe {
+    def sseOf(pid: Int): Double = if (pid == 0) 1e16 else 1.0
+  }
 
   /** Lloyd whose step fails from iteration 3 on. */
   object FailingKernel extends Strategy {
