@@ -65,9 +65,9 @@ abstract class ElkanState(points: Array[Array[Double]], k: Int)
       } else {
         lb(base + j) = cc(best)(j) - bd
       }
-      b.m.boundUpdate += 1
       j += 1
     }
+    b.m.boundUpdate += k - 1
     ub(i) = bd
     best
   }
@@ -83,11 +83,15 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
     while (i < until) { b.reassign(i, seedPoint(i, info, b)); i += 1 }
   }
 
+  /** The bound loops count into locals, added to `b.m` once per block: no
+    * counter is stored per element, so the lb decrement loop vectorizes and
+    * the point's ub and `cc` row stay in registers. A bound read is counted
+    * for every j != a, with `a` the centroid current when j is tested.
+    */
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
     val cc = info.cc
     val sc = info.sc
-    val m = b.m
     val drifts = info.drifts
     // Drift variant: δ(j) = min(drift(j), radius(j)) — still an upper bound
     // on how far c_j moved.
@@ -95,40 +99,45 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
       if (!tighterDrift) drifts
       else Array.tabulate(k)(j => math.min(drifts(j), info.radii(j)))
 
+    var reads = 0L
     var i = from
     while (i < until) {
       val x = points(i)
       val base = i * k
       var a = assign(i)
-      ub(i) += drifts(a); m.boundUpdate += 1
+      var u = ub(i) + drifts(a)
       var j = 0
-      while (j < k) { lb(base + j) -= delta(j); m.boundUpdate += 1; j += 1 }
+      while (j < k) { lb(base + j) -= delta(j); j += 1 }
 
-      m.boundAccess += 1
-      if (ub(i) > sc(a)) {
+      reads += 1
+      if (u > sc(a)) {
+        var ccA = cc(a)
         var tight = false
         j = 0
         while (j < k) {
           if (j != a) {
-            m.boundAccess += 1
-            if (ub(i) > lb(base + j) && ub(i) > 0.5 * cc(a)(j)) {
+            reads += 1
+            if (u > lb(base + j) && u > 0.5 * ccA(j)) {
               if (!tight) {
-                ub(i) = b.cdist(x, cs(a))
-                lb(base + a) = ub(i)
+                u = b.cdist(x, cs(a))
+                lb(base + a) = u
                 tight = true
               }
-              if (ub(i) > lb(base + j) && ub(i) > 0.5 * cc(a)(j)) {
+              if (u > lb(base + j) && u > 0.5 * ccA(j)) {
                 val dd = b.cdist(x, cs(j))
                 lb(base + j) = dd
-                if (dd < ub(i)) { a = j; ub(i) = dd }
+                if (dd < u) { a = j; u = dd; ccA = cc(a) }
               }
             }
           }
           j += 1
         }
       }
+      ub(i) = u
       b.reassign(i, a)
       i += 1
     }
+    b.m.boundAccess += reads
+    b.m.boundUpdate += (until - from).toLong * (k + 1)
   }
 }

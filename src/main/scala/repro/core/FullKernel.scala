@@ -66,9 +66,10 @@ final class FullState(points: Array[Array[Double]], k: Int)
       val base = i * k
       val gbase = i * t
       var a = assign(i)
-      ub(i) += info.drifts(a); m.boundUpdate += 1
+      ub(i) += info.drifts(a)
       var j = 0
-      while (j < k) { lb(base + j) -= info.drifts(j); m.boundUpdate += 1; j += 1 }
+      while (j < k) { lb(base + j) -= info.drifts(j); j += 1 }
+      m.boundUpdate += k + 1
       val globalLb = GroupScan.drift(glb, gbase, gi, m)
       m.boundAccess += 1
       if (globalLb < ub(i) && ub(i) > info.sc(a)) {

@@ -9,9 +9,12 @@ package repro.core
   * are two batched paths besides `distSq`, and neither reorders an add:
   *  - `distSq4` and `distSqMany` run four such sums side by side, over a
   *    gathered candidate list;
-  *  - `distSqPanel` runs all k sums of one point side by side, over a
-  *    dimension-major `panel` of the centroids (one array per coordinate),
-  *    so its inner loop over the k centroids vectorizes.
+  *  - `distSqPanel` runs all k sums of one point side by side, four
+  *    coordinates per pass, over a dimension-major `panel` of the centroids
+  *    (one array per coordinate), so its inner loop over the k centroids
+  *    vectorizes. The panel is either all centroids (`panel`) or the
+  *    candidates a Ball-tree leaf kept, gathered into a scratch panel
+  *    (`gather`).
   */
 object Geometry {
 
@@ -66,30 +69,67 @@ object Geometry {
     */
   def panel(cs: Array[Array[Double]]): Array[Array[Double]] = {
     val k = cs.length
-    val d = if (k == 0) 0 else cs(0).length
-    val p = Array.ofDim[Double](d, k)
-    var j = 0
-    while (j < k) {
-      val c = cs(j)
-      var z = 0
-      while (z < d) { p(z)(j) = c(z); z += 1 }
-      j += 1
-    }
+    val p = Array.ofDim[Double](if (k == 0) 0 else cs(0).length, k)
+    gather(cs, IndexSort.iota(k), k, p)
     p
   }
 
-  /** `out(j) = distSq(x, c_j)` for j < k, with the same bits, where
-    * `panel = Geometry.panel(c)`: for z = 0..d−1 in order, one pass over j
-    * adds (x_z − c_jz)² into `out(j)`. Each lane is `distSq`'s chain of adds,
-    * and Java rounds every multiply and add on its own (no fused
-    * multiply-add), so the lanes can run in SIMD registers without changing a
-    * bit. As (a−b)² == (b−a)² exactly, `out(j)` is also `distSq(c_j, x)`.
+  /** `panel(z)(q) = cs(idx(q))(z)` for q < m and every row z of `panel`: the
+    * centroids `idx` names, in the first m lanes of a scratch panel whose
+    * rows hold at least m. A panel of no rows (d = 0) is left untouched.
+    * Four centroids per pass over the rows, so each row is touched once per
+    * four lanes; the rest one by one.
+    */
+  def gather(cs: Array[Array[Double]], idx: Array[Int], m: Int,
+             panel: Array[Array[Double]]): Unit = {
+    val d = panel.length
+    var q = 0
+    while (q + 4 <= m) {
+      val c0 = cs(idx(q)); val c1 = cs(idx(q + 1)); val c2 = cs(idx(q + 2)); val c3 = cs(idx(q + 3))
+      var z = 0
+      while (z < d) {
+        val p = panel(z)
+        p(q) = c0(z); p(q + 1) = c1(z); p(q + 2) = c2(z); p(q + 3) = c3(z)
+        z += 1
+      }
+      q += 4
+    }
+    while (q < m) {
+      val c = cs(idx(q))
+      var z = 0
+      while (z < d) { panel(z)(q) = c(z); z += 1 }
+      q += 1
+    }
+  }
+
+  /** `out(j) = distSq(x, c_j)` for j < k, with the same bits, where `panel`
+    * holds c_0..c_{k−1} in its first k lanes (`panel` or `gather`). Each
+    * pass over j adds four coordinates into `out(j)`, as
+    * `(((out(j) + t0²) + t1²) + t2²) + t3²` with t_q = x_{z+q} − c_{j,z+q},
+    * and a last pass per coordinate adds the d mod 4 left over: each lane is
+    * `distSq`'s chain of adds in coordinate order, loading and storing
+    * `out(j)` once per four coordinates. Java rounds every multiply and add
+    * on its own (no fused multiply-add), so the lanes can run in SIMD
+    * registers without changing a bit. As (a−b)² == (b−a)² exactly, `out(j)`
+    * is also `distSq(c_j, x)`.
     */
   def distSqPanel(x: Array[Double], panel: Array[Array[Double]], k: Int,
                   out: Array[Double]): Unit = {
     java.util.Arrays.fill(out, 0, k, 0.0)
+    val d = panel.length
     var z = 0
-    while (z < panel.length) {
+    while (z + 4 <= d) {
+      val v0 = x(z); val v1 = x(z + 1); val v2 = x(z + 2); val v3 = x(z + 3)
+      val p0 = panel(z); val p1 = panel(z + 1); val p2 = panel(z + 2); val p3 = panel(z + 3)
+      var j = 0
+      while (j < k) {
+        val t0 = v0 - p0(j); val t1 = v1 - p1(j); val t2 = v2 - p2(j); val t3 = v3 - p3(j)
+        out(j) = (((out(j) + t0 * t0) + t1 * t1) + t2 * t2) + t3 * t3
+        j += 1
+      }
+      z += 4
+    }
+    while (z < d) {
       val v = x(z)
       val p = panel(z)
       var j = 0

@@ -44,7 +44,9 @@ final class GroupScan(t: Int, k: Int) extends Serializable {
     reset(-1, Double.PositiveInfinity)
     Geometry.distSqPanel(x, info.panel, k, sq)
     var j = 0
-    while (j < k) { visit(gi.of(j), j, math.sqrt(sq(j))); j += 1 }
+    while (j < k) { sq(j) = math.sqrt(sq(j)); j += 1 }
+    j = 0
+    while (j < k) { visit(gi.of(j), j, sq(j)); j += 1 }
     dists = k
     m.dist += dists
     var g = 0

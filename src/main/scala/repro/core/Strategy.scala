@@ -127,8 +127,10 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
     private[SequentialState] val moverIdx = new ArrayBuffer[Int]
     private[SequentialState] val moverFrom = new ArrayBuffer[Int]
 
-    /** Scratch of the batched scans: squared distances, and candidate
-      * centroids for a scan that gathers them first.
+    /** Scratch of the batched scans: distances in `dBuf`, and candidate
+      * centroids for a scan that gathers them first in `iBuf`. `distSqs`
+      * and `distSqsAll` leave squared distances in `dBuf`; `nearest`
+      * leaves their square roots.
       */
     final val dBuf = new Array[Double](k)
     final val iBuf = new Array[Int](k)
@@ -167,15 +169,17 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
     var second = -1
 
     /** Counted scan of all k centroids in index order; returns the first
-      * nearest one.
+      * nearest one. Leaves the k distances (not squared) in `dBuf`.
       */
     final def nearest(x: Array[Double], info: CentroidInfo): Int = {
       val dd = distSqsAll(x, info)
+      var j = 0
+      while (j < k) { dd(j) = math.sqrt(dd(j)); j += 1 }
       var best = 0; var sec = -1
-      var n1 = math.sqrt(dd(0)); var n2 = Double.PositiveInfinity
-      var j = 1
+      var n1 = dd(0); var n2 = Double.PositiveInfinity
+      j = 1
       while (j < k) {
-        val dj = math.sqrt(dd(j))
+        val dj = dd(j)
         if (dj < n1) { n2 = n1; sec = best; n1 = dj; best = j }
         else if (dj < n2) { n2 = dj; sec = j }
         j += 1

@@ -64,6 +64,8 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
     val remap = gi.remapFrom
     val m = b.m
     val gs = b.gs; val remapBuf = b.remapBuf
+    // Regroup reads every old group bound a new group draws on, per point.
+    val remapReads = if (remap == null) 0 else remap.map(_.length).sum
     var i = from
     while (i < until) {
       val x = points(i)
@@ -80,14 +82,13 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
           while (z < olds.length) {
             val old = glb(base + olds(z))
             if (old < v) v = old
-            m.boundAccess += 1
             z += 1
           }
           remapBuf(g) = v
           g += 1
         }
         System.arraycopy(remapBuf, 0, glb, base, t)
-        m.boundUpdate += t
+        m.boundAccess += remapReads; m.boundUpdate += t
       }
 
       ub(i) += info.drifts(a); m.boundUpdate += 1

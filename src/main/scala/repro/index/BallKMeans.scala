@@ -48,14 +48,19 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree
   * node left with one candidate goes to it whole through its sum vector;
   * a leaf's points are scanned against the surviving candidates.
   *
-  * Both scans are batched (`Geometry.distSqMany`): a node's pivot against
-  * its candidates, and a leaf point against the candidates kept.
+  * Both scans are batched: a node's pivot against its candidates through
+  * `Geometry.distSqMany`, and a leaf's points against the candidates kept
+  * through `LeafScan`, which gathers them into a panel once per leaf and
+  * scans each point with `Geometry.distSqPanel`.
   *
   * A split node holding at least two blocks' worth of points
   * (`Blocks.count`) hands its two subtrees to separate tasks on the
   * ForkJoin pool; each task has its own distance buffers, counters and
   * mover count and writes only its own nodes' and points' slots (`assign`,
-  * and a seeder's per-node and per-point bounds). Each task records the
+  * and a seeder's per-node and per-point bounds). A forking task hands its
+  * leaf scratch to its left fork, and a fork drops its own when its walk
+  * ends, so at most one leaf panel (d × k doubles) per pool thread is
+  * alive during a traversal. Each task records the
   * nodes and leaves it emitted, and after the join they are added into
   * `sums`/`counts` (and handed to the seeder's `placed`) in the depth-first
   * order of a one-task walk, so the result is bit-identical whatever the
@@ -69,13 +74,15 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree
 final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree,
                             assign: Array[Int], m: Metrics) extends Serializable {
 
+  private val d = if (points.isEmpty) 0 else points(0).length
+
   /** One task's walk of a subtree: what it emitted in depth-first order
     * (a node that went whole to `to`, or a scanned leaf with `to` = -1),
     * or the two walks it forked its root's children to.
     */
   private final class Walk(val m: Metrics) {
     val dBuf = new Array[Double](k)    // d(pivot, cand(c)) at the current node
-    val pBuf = new Array[Double](k)    // a leaf point's squared distances
+    var leaf: LeafScan = null          // a leaf's kept candidates and a point's distances
     var moved = 0L
     val nodes = new ArrayBuffer[BallNode]
     val to = new ArrayBuffer[Int]
@@ -146,30 +153,29 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
       }
       if (seeder != null) seeder.split(nd, cand, dBuf, thr)
       if (nd.isLeaf) {
-        val pd = w.pBuf
+        if (w.leaf == null) w.leaf = new LeafScan(d, k)
+        val leaf = w.leaf
+        leaf.load(cs, next)
         var z = nd.start
         while (z < nd.end) {
           val i = tree.perm(z)
           val x = points(i)
-          Geometry.distSqMany(x, cs, next, next.length, pd)
+          val b = leaf.nearest(x)
           m.dist += next.length; m.pointAccess += next.length
-          var b = 0; var bd = Double.PositiveInfinity
-          var c2 = 0
-          while (c2 < next.length) {
-            if (pd(c2) < bd) { bd = pd(c2); b = c2 }
-            c2 += 1
-          }
           val bj = next(b)
           if (assign(i) != bj) { assign(i) = bj; w.moved += 1 }
           if (direct) { Geometry.addTo(sums(bj), x); counts(bj) += 1 }
-          if (seeder != null) seeder.point(i, nd, next, pd, b, m)
+          if (seeder != null) seeder.point(i, nd, next, leaf.sq, b, m)
           z += 1
         }
         emit(w, nd, -1)
       } else if (nd.num >= forkAt) {
         val l = new Walk(new Metrics); val r = new Walk(new Metrics)
         w.left = l; w.right = r
-        ForkJoinTask.invokeAll(task(rec(l, nd.left, next)), task(rec(r, nd.right, next)))
+        // w scans no leaf after forking, so its scratch can go to l.
+        l.leaf = w.leaf; w.leaf = null
+        ForkJoinTask.invokeAll(task { rec(l, nd.left, next); l.leaf = null },
+                               task { rec(r, nd.right, next); r.leaf = null })
       } else {
         rec(w, nd.left, next)
         rec(w, nd.right, next)

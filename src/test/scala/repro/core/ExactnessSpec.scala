@@ -97,6 +97,28 @@ class ExactnessSpec extends AnyFunSuite {
     assert(res.metrics.boundAccess == 52000L)
   }
 
+  // Elkan's bound loop reads a bound for every j != a, with `a` the centroid
+  // current when j is tested. Point 0 (x = 0) sits at centroid 2 and first
+  // wins centroid 0, below its old one, so its loop reads k bounds, not k − 1.
+  // Hand-counted, one increment per element:
+  //  - seed (centroids 10, 5, 1): k − 1 = 2 lb writes per point; distances
+  //    3 + 2 + 1;
+  //  - step 2 (centroids −0.5, 5, 3): the sc test per point, then reads
+  //    3 (point 0), 0 (point 1 stops at sc) and 2 (point 2 moves up from 0 to
+  //    1) = 8; k + 1 = 4 writes per point; distances 2 + 0 + 2.
+  test("Elka counts a bound read for centroid a's old index after moving below it") {
+    val pts = Array(Array(0.0), Array(4.8), Array(9.0))
+    val c1 = Array(Array(10.0), Array(5.0), Array(1.0))
+    val c2 = Array(Array(-0.5), Array(5.0), Array(3.0))
+    val state = ElkaKernel.newState(pts, 3, 0L)
+    val seeded = state.step(CentroidInfo.compute(1, c1, null, ElkaKernel.req, null, null)).metrics
+    assert(state.assignments.toSeq == Seq(2, 1, 0))
+    assert((seeded.dist, seeded.boundAccess, seeded.boundUpdate) == ((6L, 0L, 6L)))
+    val m = state.step(CentroidInfo.compute(2, c2, c1, ElkaKernel.req, null, null)).metrics
+    assert(state.assignments.toSeq == Seq(0, 1, 1))
+    assert((m.dist, m.boundAccess, m.boundUpdate) == ((10L, 8L, 18L)))
+  }
+
   // Every deterministic strategy's cumulative counters on one fixture: a
   // refactor must keep each one bit-identical. INDE and UniK's root
   // passes run the same candidate-filtering traversal; UniK seeds its bounds

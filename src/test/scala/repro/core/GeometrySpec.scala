@@ -121,6 +121,23 @@ class GeometrySpec extends AnyFunSuite {
     }
   }
 
+  test("gather then distSqPanel gives the bits of distSq over a larger scratch panel") {
+    val rnd = new Random(9L)
+    for (d <- batchDims ++ Seq(2, 6); m <- (0 to 9) :+ 17) {
+      val x = randVec(rnd, d)
+      val cs = Array.fill(m + 5)(randVec(rnd, d))
+      val idx = Array.fill(m)(rnd.nextInt(cs.length))
+      val panel = Array.fill(d)(Array.fill(m + 3)(Double.NaN))
+      Geometry.gather(cs, idx, m, panel)
+      assert(panel.forall(_.drop(m).forall(_.isNaN)), s"d=$d m=$m: gather wrote past lane m-1")
+      val out = Array.fill(m + 2)(Double.NaN)
+      Geometry.distSqPanel(x, panel, m, out)
+      for (q <- 0 until m)
+        assert(bits(out(q)) == bits(Geometry.distSq(x, cs(idx(q)))), s"d=$d m=$m q=$q")
+      assert(out(m).isNaN && out(m + 1).isNaN, s"d=$d m=$m: distSqPanel wrote past out(m-1)")
+    }
+  }
+
   test("copy2 is a deep copy") {
     val m = Array(Array(1.0, 2.0), Array(3.0, 4.0))
     val c = Geometry.copy2(m)
