@@ -48,8 +48,11 @@ object Table3Job {
 }
 
 /** Table 6 (one cell): speedups of SEQU/INDE/UniK over Lloyd on a dataset,
-  * run through the DISTRIBUTED SparkKMeans engine (mapPartitions kernels +
-  * `reduce` of per-partition partials). Usage: Table6Job [dataset] [k] [partitions]
+  * run through the DISTRIBUTED SparkKMeans engine: one `runJob` per
+  * iteration steps every cached partition state, and the driver merges the
+  * per-partition partials in partition order. The speed-ups read
+  * `FitResult.totalNanos`, which leaves out the job that builds the states.
+  * Usage: Table6Job [dataset] [k] [partitions]
   */
 object Table6Job {
   def main(args: Array[String]): Unit = {

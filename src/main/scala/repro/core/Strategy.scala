@@ -52,7 +52,8 @@ object PointState {
 
   /** The common dimension of `points` (0 when there are none). Fails with
     * an `IllegalArgumentException` naming the first row that is ragged or
-    * holds a NaN or infinite coordinate.
+    * holds a NaN or infinite coordinate, and when the points have no
+    * coordinates at all.
     */
   private def checkedDim(points: Array[Array[Double]]): Int = {
     val d = if (points.isEmpty) 0 else points(0).length
@@ -69,8 +70,17 @@ object PointState {
       }
       i += 1
     }
+    requireCoordinates(points)
     d
   }
+
+  /** Fails with an `IllegalArgumentException` when `points` is not empty and
+    * its first point has no coordinates: k-means over d = 0 has nothing to
+    * sum. No points at all (an empty Spark partition) is accepted.
+    */
+  def requireCoordinates(points: Array[Array[Double]]): Unit =
+    if (points.nonEmpty && points(0).isEmpty)
+      throw new IllegalArgumentException(s"${points.length} points have no coordinates (d = 0)")
 }
 
 /** Shared scaffolding for the *sequential* (point-at-a-time) kernels:

@@ -1,6 +1,6 @@
 package repro.index
 
-import repro.core.Geometry
+import repro.core.{Geometry, PointState}
 
 /** The paper's advanced index node (Definition 1): pivot p, radius r, sum
   * vector sv, parent distance ψ, covered-point count num, height h. Child
@@ -101,6 +101,7 @@ object BallTree {
 
   def build(points: Array[Array[Double]], capacity: Int = 30, seed: Long = 7L,
             kind: Kind = Ball): BallTree = {
+    PointState.requireCoordinates(points)
     val t0 = System.nanoTime()
     val n = points.length
     val perm = Array.tabulate(n)(identity)

@@ -32,6 +32,7 @@ final class KdTree(
 object KdTree {
 
   def build(points: Array[Array[Double]]): KdTree = {
+    PointState.requireCoordinates(points)
     val t0 = System.nanoTime()
     val n = points.length
     val perm = Array.tabulate(n)(identity)

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.{BallKMeansStrategy, BallTree, KdKMeans}
+import repro.index.{BallKMeansStrategy, BallTree, KdKMeans, KdTree}
 import repro.unik.{UniKMode, UniKStrategy}
 
 /** Degenerate inputs every kernel must survive: k=1, k close to n,
@@ -85,6 +85,35 @@ class EdgeCaseSpec extends AnyFunSuite {
         val e = intercept[IllegalArgumentException](Runner.fitLocal(s, pts, 3, init, maxIters = 3))
         assert(e.getMessage == msg, s.name)
       }
+    }
+  }
+
+  // Points with no coordinates fail when the state or tree is built; a
+  // partition over no points (whose state has d = 0) is still accepted.
+  private val noCoordinates = Array.fill(5)(Array.empty[Double])
+  private val noCoordinatesMsg = "5 points have no coordinates (d = 0)"
+
+  for (s <- Strategies.byName.toSeq.sortBy(_._1).map(_._2) ++
+         Seq(BallTree.HKT, BallTree.MTree, BallTree.Cover).map(new BallKMeansStrategy(_))) {
+    test(s"${s.name} rejects points with no coordinates") {
+      val e = intercept[IllegalArgumentException](
+        Runner.fitLocal(s, noCoordinates, 2, Array.fill(2)(Array.empty[Double]), maxIters = 3))
+      assert(e.getMessage == noCoordinatesMsg)
+      assert(s.newState(Array.empty, 2, 17L).assignments.isEmpty)
+    }
+  }
+
+  test("KdTree.build rejects points with no coordinates") {
+    val e = intercept[IllegalArgumentException](KdTree.build(noCoordinates))
+    assert(e.getMessage == noCoordinatesMsg)
+    assert(KdTree.build(Array.empty).root == null)
+  }
+
+  test("BallTree.build rejects points with no coordinates, for every kind") {
+    for (kind <- Seq(BallTree.Ball, BallTree.HKT, BallTree.MTree, BallTree.Cover)) {
+      val e = intercept[IllegalArgumentException](BallTree.build(noCoordinates, kind = kind))
+      assert(e.getMessage == noCoordinatesMsg, kind.label)
+      BallTree.build(Array.empty, kind = kind)
     }
   }
 

@@ -1,5 +1,10 @@
 package repro.spark
 
+import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.core._
 import repro.data.Datasets
 import repro.index.{BallKMeansStrategy, BallTree}
@@ -121,6 +126,80 @@ class SparkKMeansSpec extends SparkSpec {
         init.updated(0, Array(0.5, 0.5, Double.PositiveInfinity, 0.5))))
   }
 
+  /** Runs `f` and returns how many jobs it started, and how many of those
+    * had the call site `label`.
+    */
+  private def jobsDuring(label: String)(f: => Unit): (Int, Int) = {
+    val sc = spark.sparkContext
+    ListenerBusDrain(sc) // earlier tests' events must not reach the listener
+    val all = new AtomicInteger
+    val labelled = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = {
+        all.incrementAndGet()
+        if (e.properties != null && e.properties.getProperty(SparkKMeans.CallSiteShort) == label)
+          labelled.incrementAndGet()
+      }
+    }
+    sc.addSparkListener(listener)
+    try { f; ListenerBusDrain(sc) } finally sc.removeSparkListener(listener)
+    (all.get, labelled.get)
+  }
+
+  // One job builds the states, one per iteration steps them, one sums the SSE.
+  for ((n, parts) <- Seq((800, 4), (5, 8))) {
+    test(s"a fit of t iterations runs t + 2 jobs named after it (n=$n over $parts)") {
+      val sc = spark.sparkContext
+      val few = pts.take(n)
+      val kk = math.min(k, n / 2)
+      val init2 = Init.kmeansPlusPlus(few, kk, 84L)
+      val rdd = sc.parallelize(few.toSeq, parts)
+      sc.setCallSite("caller")
+      try {
+        var res: FitResult = null
+        val (all, labelled) = jobsDuring("SparkKMeans.fit Yinyang") {
+          res = SparkKMeans.fit(spark, rdd, YinyangKernel, kk, init2, maxIters = 8, numPartitions = parts)
+        }
+        assert(res.iterations >= 2)
+        assert(all == res.iterations + 2 && labelled == all, s"$all jobs, $labelled named after the fit")
+        assert(sc.getLocalProperty(SparkKMeans.CallSiteShort) == "caller")
+        assert(sc.getLocalProperty("callSite.long") == null)
+      } finally sc.clearCallSite()
+    }
+  }
+
+  test("the step task survives Java serialization and gives the same Partials bits") {
+    val req = YinyangKernel.req.normalized
+    val info = CentroidInfo.compute(1, init, null, req, new Grouper(5L).update(init, 1, req.regroup), null)
+    val b = spark.sparkContext.broadcast(info)
+    try {
+      val task = SparkKMeans.stepTask(b)
+      val bytes = new ByteArrayOutputStream
+      val out = new ObjectOutputStream(bytes)
+      out.writeObject(task)
+      out.close()
+      val copy = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
+        .readObject().asInstanceOf[StateTask[Partials]]
+      def stepFresh(t: StateTask[Partials]) = t(null, Iterator.single(YinyangKernel.newState(pts, k, 17L)))
+      val want = stepFresh(task)
+      assert(want.n == pts.length && want.metrics.dist > 0)
+      assert(SparkKMeansSpec.sameBits(stepFresh(copy), want))
+    } finally b.destroy()
+  }
+
+  // A cached block's read lock is released when its iterator reports its end.
+  test("a StateTask reads its partition to the end and rejects a second state") {
+    val state = LloydKernel.newState(pts, k, 17L)
+    var ended = false
+    val one = Iterator.single(state)
+    val watched = new Iterator[PartitionState] {
+      def hasNext: Boolean = { ended = !one.hasNext; !ended }
+      def next(): PartitionState = one.next()
+    }
+    assert(new StateTask[Int](_.assignments.length)(null, watched) == pts.length && ended)
+    intercept[IllegalArgumentException](new StateTask[Unit](_ => ())(null, Iterator(state, state)))
+  }
+
   test("Datasets.toDF feeds the distributed engine end-to-end") {
     val df = Datasets.toDF(spark, Datasets.generate(Datasets.byName("NYC"), frac = 0.02))
     val rdd = SparkKMeans.featuresRdd(df)
@@ -133,6 +212,22 @@ class SparkKMeansSpec extends SparkSpec {
 }
 
 object SparkKMeansSpec {
+
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+
+  /** Whether `a` and `b` hold the same sums, radii and counters, bit for
+    * bit; phase times are not compared.
+    */
+  def sameBits(a: Partials, b: Partials): Boolean = {
+    def rows(p: Partials) = p.sums.map(_.map(bits).toSeq).toSeq
+    def radii(p: Partials) = Option(p.maxUb).map(_.map(bits).toSeq)
+    def counters(p: Partials) = {
+      val m = p.metrics
+      Seq(p.moved, p.n, m.dist, m.pointAccess, m.nodeAccess, m.boundAccess, m.boundUpdate)
+    }
+    rows(a) == rows(b) && a.counts.toSeq == b.counts.toSeq && radii(a) == radii(b) &&
+      counters(a) == counters(b)
+  }
 
   /** `inner`, except that each state's `finalSse` is `SseOrderProbe.sseOf`
     * its partition (`SparkKMeans.fit` builds partition p's state with seed
