@@ -20,7 +20,7 @@ class IndexCompareBench extends AnyFunSuite {
 
     val ballKinds = Seq(BallTree.Ball, BallTree.HKT, BallTree.MTree, BallTree.Cover)
     val rows = ballKinds.map { kind =>
-      val tree = BallTree.build(pts, 30, 7L, kind)
+      val tree = BallTree.build(pts, kind = kind)
       val res = Runner.fitLocal(new BallKMeansStrategy(kind), pts, k, init, maxIters = 5)
       Seq(kind.label, BenchEnv.fmt(tree.buildNanos / 1e9), tree.nodeCount.toString,
         BenchEnv.fmt(res.totalSeconds), BenchEnv.pct(res.prunedRatio))

@@ -2,10 +2,9 @@ package repro.core
 
 import scala.util.Random
 
-/** Centroid initialization. k-means++ [Arthur & Vassilvitskii, SODA'07] is
-  * the paper's default (Section 7.1); `random` is kept for the Figure-16
-  * style sensitivity check. Init distance computations are NOT counted in
-  * kernel metrics — all compared methods share the same init.
+/** Centroid initialization: k-means++ [Arthur & Vassilvitskii, SODA'07],
+  * the paper's default (Section 7.1). Init distance computations are NOT
+  * counted in kernel metrics — all compared methods share the same init.
   *
   * k-means++ updates each point's distance to the nearest chosen centre in
   * parallel `Blocks`; the total, the sampling walk and the duplicate probe
@@ -13,15 +12,6 @@ import scala.util.Random
   * depend on the number of blocks.
   */
 object Init {
-
-  def random(points: Array[Array[Double]], k: Int, seed: Long): Array[Array[Double]] = {
-    val rnd = new Random(seed)
-    val n = points.length
-    val picked = new scala.collection.mutable.LinkedHashSet[Int]
-    while (picked.size < math.min(k, n)) picked += rnd.nextInt(n)
-    val base = picked.toArray.map(i => points(i).clone)
-    pad(base, points, k, rnd)
-  }
 
   def kmeansPlusPlus(points: Array[Array[Double]], k: Int, seed: Long): Array[Array[Double]] = {
     val rnd = new Random(seed)

@@ -23,15 +23,6 @@ final class Metrics extends Serializable {
 
   def snapshot(): Metrics = { val m = new Metrics; m.add(this); m }
 
-  /** this − o, element-wise (for per-iteration deltas). */
-  def minus(o: Metrics): Metrics = {
-    val m = new Metrics
-    m.dist = dist - o.dist; m.pointAccess = pointAccess - o.pointAccess
-    m.nodeAccess = nodeAccess - o.nodeAccess; m.boundAccess = boundAccess - o.boundAccess
-    m.boundUpdate = boundUpdate - o.boundUpdate
-    m
-  }
-
   override def toString: String =
     s"dist=$dist point=$pointAccess node=$nodeAccess bound=$boundAccess boundUpd=$boundUpdate"
 }

@@ -126,7 +126,7 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
     */
   protected def ubOf(i: Int): Double = 0.0
 
-  protected val sums: Array[Array[Double]] = Array.ofDim[Double](k, math.max(d, 1))
+  protected val sums: Array[Array[Double]] = Array.ofDim[Double](k, d)
   protected val counts: Array[Long] = new Array[Long](k)
 
   private var seeded = false

@@ -1,6 +1,5 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
 
 /** Synthetic analogs of the paper's 15 evaluation datasets (Table 2 plus
@@ -47,10 +46,6 @@ object Datasets {
 
   val byName: Map[String, DatasetSpec] = all.map(s => s.name -> s).toMap
 
-  /** Global scale knob for smoke runs (REPRO_SCALE=0.2 shrinks every n 5×). */
-  lazy val scale: Double =
-    sys.env.get("REPRO_SCALE").map(_.toDouble).filter(_ > 0).getOrElse(1.0)
-
   /** Deterministic Gaussian-mixture sample for a spec. `frac` subsamples n
     * and `dKeep` projects to the first dKeep dimensions (the n/d variants
     * used for UTune ground-truth generation, mirroring the paper's grid).
@@ -58,7 +53,7 @@ object Datasets {
   def generate(spec: DatasetSpec, frac: Double = 1.0, dKeep: Int = -1,
                seed: Long = 42L): Array[Array[Double]] = {
     val rnd = new Random(seed ^ spec.name.hashCode.toLong)
-    val n = math.max(32, (spec.n * scale * frac).toInt)
+    val n = math.max(32, (spec.n * frac).toInt)
     val d = if (dKeep > 0) math.min(dKeep, spec.d) else spec.d
     val g = spec.latentClusters
     val centers = Array.fill(g, d)(rnd.nextDouble())
@@ -81,12 +76,5 @@ object Datasets {
         Array.tabulate(d)(i => base(i) + rnd.nextGaussian() * sd)
       }
     }
-  }
-
-  /** Points as a DataFrame with an `id` and a `features` array column. */
-  def toDF(spark: SparkSession, points: Array[Array[Double]]): DataFrame = {
-    import spark.implicits._
-    points.zipWithIndex.map { case (p, i) => (i.toLong, p.toSeq) }.toSeq
-      .toDF("id", "features")
   }
 }

@@ -11,28 +11,26 @@ import repro.core._
   * candidate is assigned whole through its sum vector: zero point accesses,
   * free refinement.
   */
-final class BallKMeansStrategy(kind: BallTree.Kind = BallTree.Ball, capacity: Int = 30)
-    extends Strategy {
+final class BallKMeansStrategy(kind: BallTree.Kind = BallTree.Ball) extends Strategy {
   val name: String = if (kind == BallTree.Ball) "Index" else s"Index-${kind.label}"
   val req: Req = Req()
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
-    new BallKMeansState(points, k, kind, capacity, seed)
+    new BallKMeansState(points, k, kind, seed)
 }
 
 object BallKMeansStrategy {
   val default = new BallKMeansStrategy()
 }
 
-final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree.Kind,
-                            capacity: Int, seed: Long)
+final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree.Kind, seed: Long)
     extends PointState(points, k) {
-  private val tree = BallTree.build(points, capacity, seed, kind)
+  private val tree = BallTree.build(points, seed = seed, kind = kind)
   private val filter = new CandidateFilter(points, k, tree, assign, m)
 
   def step(info: CentroidInfo): Partials = {
     val t0 = System.nanoTime()
-    val sums = Array.ofDim[Double](k, math.max(d, 1))
+    val sums = Array.ofDim[Double](k, d)
     val counts = new Array[Long](k)
     val moved = filter.run(info.centroids, sums, counts, null)
     val t1 = System.nanoTime()
@@ -61,12 +59,11 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree
   * leaf scratch to its left fork, and a fork drops its own when its walk
   * ends, so at most one leaf panel (d × k doubles) per pool thread is
   * alive during a traversal. Each task records the
-  * nodes and leaves it emitted, and after the join they are added into
-  * `sums`/`counts` (and handed to the seeder's `placed`) in the depth-first
-  * order of a one-task walk, so the result is bit-identical whatever the
-  * split. A partition under two blocks (or any inside `Blocks.oneThread`)
-  * runs as one task on the caller, which adds each node and point as it
-  * assigns it.
+  * nodes and leaves it emitted, and after the walk they are added into
+  * `sums`/`counts` (and handed to the seeder's `placed`) in depth-first
+  * order, so the result is bit-identical whatever the split. A partition
+  * under two blocks (or any inside `Blocks.oneThread`) runs as one task on
+  * the caller.
   *
   * Assignments go into `assign` and counters into `m`, both owned by the
   * calling state.
@@ -99,15 +96,14 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
           seeder: CandidateFilter.Seeder): Long = {
     val n = points.length
     val blocks = Blocks.count(n)
-    // One task (one block) adds as it goes, a leaf's points as it scans
-    // them; several record what they emit and `replay` adds it after the join.
-    val direct = blocks == 1
-    // A node this large forks; a walk's root is the only node it can fork at.
-    val forkAt = if (direct) Int.MaxValue else (2L * n / blocks).toInt
+    // A node this large forks (none does in one block); a walk's root is the
+    // only node it can fork at. Walks record what they emit, and `replay`
+    // adds it after the join.
+    val forkAt = (2L * n / blocks).toInt
 
-    def place(nd: BallNode, j: Int, scanned: Boolean): Unit = {
+    def place(nd: BallNode, j: Int): Unit = {
       if (j >= 0) { Geometry.addTo(sums(j), nd.sv); counts(j) += nd.num }
-      else if (!scanned) {
+      else {
         var p = nd.start
         while (p < nd.end) {
           val i = tree.perm(p)
@@ -118,8 +114,7 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
       if (seeder != null) seeder.placed(nd, j)
     }
 
-    def emit(w: Walk, nd: BallNode, j: Int): Unit =
-      if (direct) place(nd, j, scanned = true) else { w.nodes += nd; w.to += j }
+    def emit(w: Walk, nd: BallNode, j: Int): Unit = { w.nodes += nd; w.to += j }
 
     def rec(w: Walk, nd: BallNode, cand: Array[Int]): Unit = {
       val m = w.m; val dBuf = w.dBuf
@@ -164,7 +159,6 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
           m.dist += next.length; m.pointAccess += next.length
           val bj = next(b)
           if (assign(i) != bj) { assign(i) = bj; w.moved += 1 }
-          if (direct) { Geometry.addTo(sums(bj), x); counts(bj) += 1 }
           if (seeder != null) seeder.point(i, nd, next, leaf.sq, b, m)
           z += 1
         }
@@ -187,7 +181,7 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
       */
     def replay(w: Walk): Long = {
       var z = 0
-      while (z < w.nodes.length) { place(w.nodes(z), w.to(z), scanned = false); z += 1 }
+      while (z < w.nodes.length) { place(w.nodes(z), w.to(z)); z += 1 }
       if (w.left == null) w.moved
       else {
         m.add(w.left.m); m.add(w.right.m)

@@ -1,6 +1,6 @@
 package repro.index
 
-import repro.core.{Geometry, PointState}
+import repro.core.{Geometry, Metrics, PointState}
 
 /** The paper's advanced index node (Definition 1): pivot p, radius r, sum
   * vector sv, parent distance ψ, covered-point count num, height h. Child
@@ -49,20 +49,19 @@ final class BallTree(
     buf.toSeq
   }
 
-  /** Indices of all points with ‖x − q‖ ≤ r (counts node visits/distances
-    * into the supplied counters via the callback). A leaf's points are
-    * measured four per `Geometry.distSq4` pass, in leaf order.
+  /** Indices of all points with ‖x − q‖ < r, strictly: a point at exactly r
+    * is left out. Node visits and distances are counted into `m`. A leaf's
+    * points are measured four per `Geometry.distSq4` pass, in leaf order.
     */
-  def rangeSearch(q: Array[Double], r: Double,
-                  onNode: () => Unit = () => (), onDist: () => Unit = () => ()): Array[Int] = {
+  def rangeSearch(q: Array[Double], r: Double, m: Metrics): Array[Int] = {
     val out = new scala.collection.mutable.ArrayBuffer[Int]
     val sq = new Array[Double](4)
     def rec(nd: BallNode): Unit = {
-      onNode()
-      onDist()
+      m.nodeAccess += 1
+      m.dist += 1
       val dp = Geometry.dist(q, nd.pivot)
       if (dp - nd.radius > r) () // disjoint
-      else if (dp + nd.radius <= r) { // fully inside
+      else if (dp + nd.radius < r) { // fully inside
         var z = nd.start
         while (z < nd.end) { out += perm(z); z += 1 }
       } else if (nd.isLeaf) {
@@ -78,8 +77,8 @@ final class BallTree(
           }
           var u = 0
           while (u < cnt) {
-            onDist()
-            if (math.sqrt(sq(u)) <= r) out += perm(z + u)
+            m.dist += 1
+            if (math.sqrt(sq(u)) < r) out += perm(z + u)
             u += 1
           }
           z += cnt

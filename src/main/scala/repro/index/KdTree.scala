@@ -100,7 +100,7 @@ final class KdKMeansState(points: Array[Array[Double]], k: Int)
     val t0 = System.nanoTime()
     movedThisIter = 0
     val cs = info.centroids
-    val sums = Array.ofDim[Double](k, math.max(d, 1))
+    val sums = Array.ofDim[Double](k, d)
     val counts = new Array[Long](k)
 
     def bulkAssign(nd: KdNode, j: Int): Unit = {

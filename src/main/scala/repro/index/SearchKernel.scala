@@ -4,8 +4,9 @@ import repro.core._
 
 /** Pre-assignment search [Broder et al., WSDM'14] (Section 3.2): every
   * iteration, for each centroid c_j, a ball-tree range search collects the
-  * points within ½·min-other-centroid-distance of c_j — provably closest to
-  * c_j — and assigns them in batch; leftovers fall back to a Lloyd scan.
+  * points strictly within ½·min-other-centroid-distance of c_j — provably
+  * nearer c_j than any other centroid, so none ties — and assigns them in
+  * batch; leftovers fall back to a Lloyd scan.
   * k range searches per iteration make this slow for large k, matching its
   * low leaderboard rank in the paper.
   */
@@ -20,7 +21,7 @@ object SearchKernel extends Strategy {
 final class SearchState(points: Array[Array[Double]], k: Int, seed: Long)
     extends SequentialState(points, k) {
 
-  private val tree = BallTree.build(points, 30, seed)
+  private val tree = BallTree.build(points, seed = seed)
 
   private val done = new Array[Boolean](n)
 
@@ -36,7 +37,7 @@ final class SearchState(points: Array[Array[Double]], k: Int, seed: Long)
     while (j < k) {
       val thr = 0.5 * info.nearestOther(j)
       if (thr > 0 && !thr.isInfinity) {
-        val hits = tree.rangeSearch(cs(j), thr, () => b.m.nodeAccess += 1, () => b.m.dist += 1)
+        val hits = tree.rangeSearch(cs(j), thr, b.m)
         var z = 0
         while (z < hits.length) {
           val i = hits(z)

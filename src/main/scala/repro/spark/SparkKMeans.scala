@@ -5,7 +5,7 @@ import scala.reflect.ClassTag
 import org.apache.spark.{SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 import repro.core._
 
@@ -100,13 +100,6 @@ object SparkKMeans {
     */
   private[repro] val CallSiteShort = "callSite.short"
   private val CallSiteLong = "callSite.long"
-
-  /** DataFrame → RDD[Array[Double]] for a `features: array<double>` column. */
-  def featuresRdd(df: DataFrame, col: String = "features"): RDD[Array[Double]] = {
-    val idx = df.schema.fieldNames.indexOf(col)
-    require(idx >= 0, s"no column '$col' in ${df.schema.fieldNames.mkString(",")}")
-    df.rdd.map { (r: Row) => r.getSeq[Double](idx).toArray }
-  }
 }
 
 /** A job's task function: `f` of the partition's one state. It is a named

@@ -27,8 +27,7 @@ object UniKMode {
   case object Multiple extends UniKMode
 }
 
-final class UniKStrategy(mode: UniKMode = UniKMode.Adaptive, capacity: Int = 30)
-    extends Strategy {
+final class UniKStrategy(mode: UniKMode = UniKMode.Adaptive) extends Strategy {
   val name: String = mode match {
     case UniKMode.Adaptive => "UniK"
     case UniKMode.Single   => "UniK-single"
@@ -37,7 +36,7 @@ final class UniKStrategy(mode: UniKMode = UniKMode.Adaptive, capacity: Int = 30)
   val req: Req = Req(groups = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
-    new UniKState(points, k, mode, capacity, seed)
+    new UniKState(points, k, mode, seed)
 }
 
 object UniKStrategy {
@@ -50,11 +49,10 @@ object UniKStrategy {
   * starts from exact bounds; the traversal of later steps follows `mode`,
   * and `Adaptive` times the state's own first two steps.
   */
-final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capacity: Int,
-                      seed: Long)
+final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed: Long)
     extends PointState(points, k) {
 
-  private val tree = BallTree.build(points, capacity, seed)
+  private val tree = BallTree.build(points, seed = seed)
   private val filter = new CandidateFilter(points, k, tree, assign, m)
 
   private var t = 0 // #groups, fixed by the first step
@@ -75,7 +73,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, capa
   private var lists: Array[scala.collection.mutable.ArrayBuffer[Int]] = null
 
   // Incremental refinement state.
-  private val sums = Array.ofDim[Double](k, math.max(d, 1))
+  private val sums = Array.ofDim[Double](k, d)
   private val counts = new Array[Long](k)
   private var moved = 0L
   // pending sum-vector ops applied in the refine phase

@@ -8,9 +8,8 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Spark logs at ERROR, as in the fit benchmark's session, so the
+  * test output is not flooded with a few INFO lines per job and task.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -23,14 +22,12 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       // Spark 4 defaults to Kryo, which cannot serialize some of the kernel
       // state shipped between partition steps; everything here implements
       // java.io.Serializable, so the Java serializer is the robust choice.
       .config("spark.serializer", "org.apache.spark.serializer.JavaSerializer")
       .getOrCreate()
+    s.sparkContext.setLogLevel("ERROR")
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

@@ -170,6 +170,34 @@ class ExactnessSpec extends AnyFunSuite {
       Seq("Index-HKT", "Index-M-tree", "Index-Cover-tree"))
   }
 
+  /** The assignments after each step of a fit of at most `iters` iterations. */
+  private def assignmentsPerStep(s: Strategy, pts: Array[Array[Double]], k: Int,
+                                 init: Array[Array[Double]], iters: Int): Seq[Seq[Int]] = {
+    val seen = Seq.newBuilder[Seq[Int]]
+    Runner.fitStates(s, Seq(s.newState(pts, k, 0L)), ps => { (info: CentroidInfo) =>
+      val p = ps.head.step(info); seen += ps.head.assignments.toSeq; p
+    }, k, init, iters, 0L)
+    seen.result()
+  }
+
+  // Integer points and lattice centroids put many points at exactly the same
+  // distance from two centroids. Every deterministic strategy must break each
+  // such tie as Lloyd does, towards the lower index, after every iteration.
+  test("every deterministic strategy breaks lattice ties as Lloyd does, every iteration") {
+    val diverged = for {
+      //                          d, side, k
+      ((d, side, k), c) <- Seq((1, 20, 40), (2, 10, 20), (3, 6, 20), (4, 8, 30), (5, 6, 30))
+                             .zipWithIndex
+      rnd = new scala.util.Random(70L + c)
+      pts = Array.fill(600, d)(rnd.nextInt(side).toDouble)
+      init = Array.fill(k, d)(rnd.nextInt(side).toDouble)
+      ref = assignmentsPerStep(LloydKernel, pts, k, init, 12)
+      s <- pins.map(_._1) if s != LloydKernel
+      if assignmentsPerStep(s, pts, k, init, 12) != ref
+    } yield s"${s.name} on d=$d side=$side k=$k"
+    assert(diverged.isEmpty, diverged.mkString("diverge from Lloyd: ", ", ", ""))
+  }
+
   // A fixture of several `Blocks`: sequential states assign it in parallel
   // point ranges and INDE forks its subtrees. Every counter and the bits of
   // every final centroid must be those of a single-threaded run.

@@ -38,13 +38,6 @@ class InitSpec extends AnyFunSuite {
     assert(c.length == 9)
   }
 
-  test("random init returns k centroids drawn from the data") {
-    val c = Init.random(pts, 12, 3L)
-    assert(c.length == 12)
-    val asSet = pts.map(_.toSeq).toSet
-    assert(c.forall(x => asSet.contains(x.toSeq)))
-  }
-
   /** k-means++ as one sequential pass over the points, one `distSq` at a
     * time: the reference the block-parallel, four-wide update of
     * `Init.kmeansPlusPlus` must reproduce exactly.

@@ -1,7 +1,7 @@
 package repro.index
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{Geometry, TestData}
+import repro.core.{Geometry, Metrics, TestData}
 
 /** Structural invariants of Definition 1 for all four ball-cover builders. */
 class BallTreeSpec extends AnyFunSuite {
@@ -94,8 +94,8 @@ class BallTreeSpec extends AnyFunSuite {
     for (_ <- 0 until 20) {
       val q = Array.fill(3)(rnd.nextDouble())
       val r = 0.05 + rnd.nextDouble() * 0.3
-      val got = tree.rangeSearch(q, r).toSet
-      val want = pts.indices.filter(i => Geometry.dist(q, pts(i)) <= r).toSet
+      val got = tree.rangeSearch(q, r, new Metrics).toSet
+      val want = pts.indices.filter(i => Geometry.dist(q, pts(i)) < r).toSet
       assert(got == want)
     }
   }

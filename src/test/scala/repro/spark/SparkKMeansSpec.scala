@@ -6,7 +6,6 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusDrain
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.core._
-import repro.data.Datasets
 import repro.index.{BallKMeansStrategy, BallTree}
 import repro.SparkSpec
 
@@ -198,16 +197,6 @@ class SparkKMeansSpec extends SparkSpec {
     }
     assert(new StateTask[Int](_.assignments.length)(null, watched) == pts.length && ended)
     intercept[IllegalArgumentException](new StateTask[Unit](_ => ())(null, Iterator(state, state)))
-  }
-
-  test("Datasets.toDF feeds the distributed engine end-to-end") {
-    val df = Datasets.toDF(spark, Datasets.generate(Datasets.byName("NYC"), frac = 0.02))
-    val rdd = SparkKMeans.featuresRdd(df)
-    val local = rdd.collect()
-    val init8 = Init.kmeansPlusPlus(local, 8, 3L)
-    val dist = SparkKMeans.fit(spark, rdd, LloydKernel, 8, init8, maxIters = 4)
-    val ref = Runner.fitLocal(LloydKernel, local, 8, init8, maxIters = 4)
-    assert(math.abs(dist.sse - ref.sse) / math.max(ref.sse, 1e-12) < 1e-6)
   }
 }
 
