@@ -2,7 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.data.Datasets
 import repro.index.{BallKMeansStrategy, BallTree, KdKMeans, KdTree}
 
 /** Section 7.2.1 (Figure 7): construction + clustering comparison of the

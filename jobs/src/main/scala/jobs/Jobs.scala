@@ -19,7 +19,7 @@ object Table6Job {
     val name = args.headOption.getOrElse("BigCross")
     val k = args.lift(1).map(_.toInt).getOrElse(100)
     val parts = args.lift(2).map(_.toInt).getOrElse(4)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(s"table6-$name-$k")
       .config("spark.ui.enabled", "false")

@@ -236,11 +236,9 @@ final class Grouper(seed: Long) {
   private var current: GroupInfo = null
   private var groupCenters: Array[Array[Double]] = null
 
-  def nGroupsFor(k: Int): Int = math.max(1, math.ceil(k / 10.0).toInt)
-
   def update(centroids: Array[Array[Double]], iter: Int, regroup: Boolean): GroupInfo = {
     val k = centroids.length
-    val t = nGroupsFor(k)
+    val t = Grouper.nGroupsFor(k)
     if (current == null) {
       val init = Init.kmeansPlusPlus(centroids, t, seed)
       val (of, centers) = Grouper.miniKMeans(centroids, init, 5)
@@ -266,6 +264,9 @@ final class Grouper(seed: Long) {
 }
 
 object Grouper {
+  /** The group count t of k centroids: every `GroupInfo` over k carries it. */
+  def nGroupsFor(k: Int): Int = math.max(1, math.ceil(k / 10.0).toInt)
+
   private def buildInfo(of: Array[Int], t: Int, remap: Array[Array[Int]]): GroupInfo = {
     val members = Array.tabulate(t) { g =>
       val buf = new scala.collection.mutable.ArrayBuffer[Int]

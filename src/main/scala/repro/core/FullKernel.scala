@@ -17,15 +17,9 @@ object FullKernel extends Strategy {
 final class FullState(points: Array[Array[Double]], k: Int)
     extends ElkanState(points, k) {
 
-  private var t = 0
-  private var glb: Array[Double] = null
+  private val t = Grouper.nGroupsFor(k)
+  private val glb = new Array[Double](n * t)
   private val xNorms = new PointBlockNorms(points)
-
-  /** The group count is fixed by the state's first step. */
-  override protected def prelude(info: CentroidInfo): Option[Block] = {
-    if (glb == null) { t = info.groups.nGroups; glb = new Array[Double](n * t) }
-    None
-  }
 
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     var i = from

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable.ArrayBuffer
-
 /** One partition's worth of algorithm state: the points, the per-point
   * bound state, and (for index methods) the per-partition tree. Lives for
   * the whole run; `step` is called once per iteration with the broadcast
@@ -28,7 +26,14 @@ trait Strategy extends Serializable {
 
 /** What every partition state holds: its points (checked on construction),
   * their current assignment, from which `finalSse` and `assignments` are
-  * read, and the state's counters.
+  * read, the state's counters and its per-cluster sum vectors and counts.
+  *
+  * `step` is the one step of every state family: it runs and times the
+  * family's assignment phase, then its refinement phase if it has one, and
+  * reports `sums`/`counts` as they are left. A family whose assignment adds
+  * every point or node into `sums` itself (INDE, KdTree) has no refinement
+  * phase and reports a refinement time of exactly 0. Incremental refinement
+  * replays the movers of a `MoveLog`.
   */
 abstract class PointState(val points: Array[Array[Double]], val k: Int)
     extends PartitionState {
@@ -37,6 +42,35 @@ abstract class PointState(val points: Array[Array[Double]], val k: Int)
   final val d: Int = PointState.checkedDim(points)
   final val assign: Array[Int] = Array.fill(n)(-1)
   final val m = new Metrics
+  protected final val sums: Array[Array[Double]] = Array.ofDim[Double](k, d)
+  protected final val counts: Array[Long] = new Array[Long](k)
+
+  /** Assigns every point to its nearest centroid; returns the number of
+    * points that changed cluster.
+    */
+  protected def assignPhase(info: CentroidInfo): Long
+
+  /** Whether the family has a refinement phase, `refinePhase`. */
+  protected def refines: Boolean = false
+  protected def refinePhase(): Unit = ()
+
+  /** Per-cluster radius upper bounds for `Partials.maxUb`, or null. */
+  protected def radii(): Array[Double] = null
+
+  final def step(info: CentroidInfo): Partials = {
+    val t0 = System.nanoTime()
+    val moved = assignPhase(info)
+    val t1 = System.nanoTime()
+    val t2 = if (refines) { refinePhase(); System.nanoTime() } else t1
+    new Partials(Geometry.copy2(sums), counts.clone(), radii(), moved, n.toLong, m.snapshot(),
+      t1 - t0, t2 - t1)
+  }
+
+  /** Empties `sums` and `counts`, for an assignment that rebuilds them. */
+  protected final def clearSums(): Unit = {
+    var j = 0
+    while (j < k) { java.util.Arrays.fill(sums(j), 0.0); counts(j) = 0; j += 1 }
+  }
 
   def finalSse(centroids: Array[Array[Double]]): Double = {
     var s = 0.0
@@ -84,28 +118,27 @@ object PointState {
 }
 
 /** Shared scaffolding for the *sequential* (point-at-a-time) kernels:
-  * assignment bookkeeping, incremental ("sum vector") or full-rescan
-  * refinement, mover tracking, per-phase timing, metric snapshots.
+  * assignment bookkeeping and incremental ("sum vector") or full-rescan
+  * refinement.
   *
   * A state seeds its bounds on its own first step, whatever the driver's
-  * iteration: `step` calls `seedAll` the first time and `assignAll` on
-  * every later call, so a state rebuilt mid-run (a recomputed Spark
-  * partition) starts from exact bounds. Kernels without bounds keep the
-  * default `seedAll = assignAll`. Both call `b.reassign(i, j)` for every
-  * point (also when j is unchanged — reassign only records a move when the
-  * cluster actually changes).
+  * iteration: the assignment phase calls `seedAll` the first time and
+  * `assignAll` on every later call, so a state rebuilt mid-run (a
+  * recomputed Spark partition) starts from exact bounds. Kernels without
+  * bounds keep the default `seedAll = assignAll`. Both call
+  * `b.reassign(i, j)` for every point (also when j is unchanged — reassign
+  * only logs a move when the cluster actually changes).
   *
   * Both run over one contiguous range of points with one `Block`: the
-  * range's counters, movers and the kernel's scratch. `step` cuts the
-  * points into `Blocks.count(n)` ranges and runs them on the common
-  * ForkJoin pool (inside `Blocks.oneThread`, as in `Runner.fitLocal`,
+  * range's counters, move log and the kernel's scratch. The assignment
+  * phase cuts the points into `Blocks.count(n)` ranges and runs them on the
+  * common ForkJoin pool (inside `Blocks.oneThread`, as in `Runner.fitLocal`,
   * there is one); per-point state (`assign`, bounds) is disjoint between
   * ranges, and anything shared is only read. Afterwards the blocks'
-  * counters are added into `m` and their movers are refined in block
-  * order, which is point order, so sums, counts and counters are
-  * bit-identical to one block over [0, n). Sequential work that must
-  * precede the blocks (allocation on the first step, Search's range
-  * searches) goes in `prelude`.
+  * counters are added into `m`, and the refinement phase applies their move
+  * logs in block order, which is point order, so sums, counts and counters
+  * are bit-identical to one block over [0, n). Sequential work that must
+  * precede the blocks (Search's range searches) goes in `prelude`.
   */
 abstract class SequentialState(points: Array[Array[Double]], k: Int)
     extends PointState(points, k) {
@@ -126,16 +159,14 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
     */
   protected def ubOf(i: Int): Double = 0.0
 
-  protected val sums: Array[Array[Double]] = Array.ofDim[Double](k, d)
-  protected val counts: Array[Long] = new Array[Long](k)
-
   private var seeded = false
+  private var stepped: Array[Block] = null // the blocks between a step's two phases
 
   /** One range's counters and movers; a kernel with scratch extends it. */
   protected class Block {
     final val m = new Metrics
-    private[SequentialState] val moverIdx = new ArrayBuffer[Int]
-    private[SequentialState] val moverFrom = new ArrayBuffer[Int]
+    private[SequentialState] val log = if (incrementalRefine) new MoveLog(m) else null
+    private[SequentialState] var moved = 0L
 
     /** Scratch of the batched scans: distances in `dBuf`, and candidate
       * centroids for a scan that gathers them first in `iBuf`. `distSqs`
@@ -200,7 +231,10 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
 
     @inline final def reassign(i: Int, j: Int): Unit = {
       val old = assign(i)
-      if (old != j) { moverIdx += i; moverFrom += old; assign(i) = j }
+      if (old != j) {
+        assign(i) = j; moved += 1
+        if (log != null) log.point(points(i), old, j)
+      }
     }
   }
 
@@ -224,62 +258,48 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
     */
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Ctx): Unit
 
-  def step(info: CentroidInfo): Partials = {
-    val t0 = System.nanoTime()
+  protected final def assignPhase(info: CentroidInfo): Long = {
     val seeding = !seeded
     val lead: Option[Block] = prelude(info)
-    val blocks = lead ++: Blocks.map[Block](n, if (blocked) Blocks.count(n) else 1) { (from, until) =>
+    stepped = lead ++: Blocks.map[Block](n, if (blocked) Blocks.count(n) else 1) { (from, until) =>
       val b = newBlock()
       if (seeding) seedAll(info, from, until, b) else assignAll(info, from, until, b)
       b
     }
     seeded = true
-    blocks.foreach(b => m.add(b.m))
-    val t1 = System.nanoTime()
-    refine(blocks)
-    val t2 = System.nanoTime()
-    val maxUb =
-      if (!reportRadii) null
-      else {
-        val r = new Array[Double](k)
-        var i = 0
-        while (i < n) {
-          val a = assign(i)
-          if (ubOf(i) > r(a)) r(a) = ubOf(i)
-          i += 1
-        }
-        r
-      }
-    new Partials(Geometry.copy2(sums), counts.clone(), maxUb, blocks.map(_.moverIdx.length.toLong).sum,
-      n.toLong, m.snapshot(), t1 - t0, t2 - t1)
+    stepped.foreach(b => m.add(b.m))
+    stepped.map(_.moved).sum
   }
 
   /** Refinement = maintaining the per-cluster sum vectors. Incremental mode
-    * touches movers only (Section 5.1.2), block by block; full mode rescans
-    * the partition (classic Lloyd refinement, n data accesses).
+    * applies the blocks' move logs in block order (Section 5.1.2); full mode
+    * rescans the partition (classic Lloyd refinement, n data accesses).
     */
-  private def refine(blocks: Array[Block]): Unit = {
-    if (!incrementalRefine) {
-      var j = 0
-      while (j < k) { java.util.Arrays.fill(sums(j), 0.0); counts(j) = 0; j += 1 }
+  override protected final def refines: Boolean = true
+  override protected final def refinePhase(): Unit = {
+    if (incrementalRefine) stepped.foreach(_.log.applyTo(sums, counts))
+    else {
+      clearSums()
       var i = 0
       while (i < n) {
         Geometry.addTo(sums(assign(i)), points(i)); counts(assign(i)) += 1
         i += 1
       }
       m.pointAccess += n
-    } else {
-      for (b <- blocks) {
-        var z = 0
-        while (z < b.moverIdx.length) {
-          val i = b.moverIdx(z); val from = b.moverFrom(z)
-          val x = points(i)
-          if (from >= 0) { Geometry.subFrom(sums(from), x); counts(from) -= 1 }
-          Geometry.addTo(sums(assign(i)), x); counts(assign(i)) += 1
-          m.pointAccess += 1
-          z += 1
-        }
-      }
     }
+    stepped = null
   }
+
+  override protected final def radii(): Array[Double] =
+    if (!reportRadii) null
+    else {
+      val r = new Array[Double](k)
+      var i = 0
+      while (i < n) {
+        val a = assign(i)
+        if (ubOf(i) > r(a)) r(a) = ubOf(i)
+        i += 1
+      }
+      r
+    }
 }

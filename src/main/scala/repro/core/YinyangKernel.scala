@@ -29,8 +29,8 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
     extends SequentialState(points, k) {
 
   private val ub = new Array[Double](n)
-  private var t = 0
-  private var glb: Array[Double] = null // flattened (i, g)
+  private val t = Grouper.nGroupsFor(k)
+  private val glb = new Array[Double](n * t) // flattened (i, g)
 
   override protected def ubOf(i: Int): Double = ub(i)
 
@@ -40,12 +40,6 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
     val remapBuf = new Array[Double](t)
   }
   protected def newBlock(): Ctx = new Ctx
-
-  /** The group count is fixed by the state's first step. */
-  override protected def prelude(info: CentroidInfo): Option[Ctx] = {
-    if (glb == null) { t = info.groups.nGroups; glb = new Array[Double](n * t) }
-    None
-  }
 
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Ctx): Unit = {
     var i = from

@@ -2,8 +2,6 @@ package repro.index
 
 import java.util.concurrent.{ForkJoinTask, RecursiveAction}
 
-import scala.collection.mutable.ArrayBuffer
-
 import repro.core._
 
 /** Pure index-based k-means ("INDE") [Moore, UAI'00]: every iteration runs
@@ -28,13 +26,9 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree
   private val tree = BallTree.build(points, seed = seed, kind = kind)
   private val filter = new CandidateFilter(points, k, tree, assign, m)
 
-  def step(info: CentroidInfo): Partials = {
-    val t0 = System.nanoTime()
-    val sums = Array.ofDim[Double](k, d)
-    val counts = new Array[Long](k)
-    val moved = filter.run(info.centroids, sums, counts, null)
-    val t1 = System.nanoTime()
-    new Partials(sums, counts, null, moved, n.toLong, m.snapshot(), t1 - t0, 0L)
+  protected def assignPhase(info: CentroidInfo): Long = {
+    clearSums()
+    filter.run(info.centroids, sums, counts, null)
   }
 }
 
@@ -58,12 +52,15 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree
   * and a seeder's per-node and per-point bounds). A forking task hands its
   * leaf scratch to its left fork, and a fork drops its own when its walk
   * ends, so at most one leaf panel (d × k doubles) per pool thread is
-  * alive during a traversal. Each task records the
-  * nodes and leaves it emitted, and after the walk they are added into
-  * `sums`/`counts` (and handed to the seeder's `placed`) in depth-first
-  * order, so the result is bit-identical whatever the split. A partition
-  * under two blocks (or any inside `Blocks.oneThread`) runs as one task on
-  * the caller.
+  * alive during a traversal. A forking task adds its forks' counters and
+  * movers right after the join. Each task records every node it emits (a
+  * node that goes whole, or a scanned leaf) at the node's first tree
+  * position, `start`; the emitted ranges are disjoint and cover [0, n), so
+  * one pass over the positions after the walk adds them into
+  * `sums`/`counts` (and hands them to the seeder's `placed`) in increasing
+  * `start` order, which is depth-first order, and the result is
+  * bit-identical whatever the split. A partition under two blocks (or any
+  * inside `Blocks.oneThread`) runs as one task on the caller.
   *
   * Assignments go into `assign` and counters into `m`, both owned by the
   * calling state.
@@ -73,18 +70,11 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
 
   private val d = if (points.isEmpty) 0 else points(0).length
 
-  /** One task's walk of a subtree: what it emitted in depth-first order
-    * (a node that went whole to `to`, or a scanned leaf with `to` = -1),
-    * or the two walks it forked its root's children to.
-    */
+  /** One task's walk of a subtree: its scratch, counters and movers. */
   private final class Walk(val m: Metrics) {
     val dBuf = new Array[Double](k)    // d(pivot, cand(c)) at the current node
     var leaf: LeafScan = null          // a leaf's kept candidates and a point's distances
     var moved = 0L
-    val nodes = new ArrayBuffer[BallNode]
-    val to = new ArrayBuffer[Int]
-    var left: Walk = null
-    var right: Walk = null
   }
 
   /** Assigns every point to its nearest centroid, adds points and whole
@@ -97,9 +87,12 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
     val n = points.length
     val blocks = Blocks.count(n)
     // A node this large forks (none does in one block); a walk's root is the
-    // only node it can fork at. Walks record what they emit, and `replay`
-    // adds it after the join.
+    // only node it can fork at.
     val forkAt = (2L * n / blocks).toInt
+    // The node emitted at each first tree position: it went whole to
+    // `to(p)`, or it is a scanned leaf and `to(p)` is -1.
+    val at = new Array[BallNode](n)
+    val to = new Array[Int](n)
 
     def place(nd: BallNode, j: Int): Unit = {
       if (j >= 0) { Geometry.addTo(sums(j), nd.sv); counts(j) += nd.num }
@@ -114,7 +107,7 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
       if (seeder != null) seeder.placed(nd, j)
     }
 
-    def emit(w: Walk, nd: BallNode, j: Int): Unit = { w.nodes += nd; w.to += j }
+    def emit(nd: BallNode, j: Int): Unit = { at(nd.start) = nd; to(nd.start) = j }
 
     def rec(w: Walk, nd: BallNode, cand: Array[Int]): Unit = {
       val m = w.m; val dBuf = w.dBuf
@@ -136,7 +129,7 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
       if (kept == 1) {
         w.moved += CandidateFilter.assignNode(tree, assign, nd, best)
         if (seeder != null) seeder.node(nd, cand, dBuf, best, d1, m)
-        emit(w, nd, best)
+        emit(nd, best)
         return
       }
       val next = new Array[Int](kept)
@@ -162,30 +155,18 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
           if (seeder != null) seeder.point(i, nd, next, leaf.sq, b, m)
           z += 1
         }
-        emit(w, nd, -1)
+        emit(nd, -1)
       } else if (nd.num >= forkAt) {
         val l = new Walk(new Metrics); val r = new Walk(new Metrics)
-        w.left = l; w.right = r
         // w scans no leaf after forking, so its scratch can go to l.
         l.leaf = w.leaf; w.leaf = null
         ForkJoinTask.invokeAll(task { rec(l, nd.left, next); l.leaf = null },
                                task { rec(r, nd.right, next); r.leaf = null })
+        w.m.add(l.m); w.m.add(r.m)
+        w.moved += l.moved + r.moved
       } else {
         rec(w, nd.left, next)
         rec(w, nd.right, next)
-      }
-    }
-
-    /** Places what `w` and its forks emitted, adds the forks' counters into
-      * the state's and returns the points they moved.
-      */
-    def replay(w: Walk): Long = {
-      var z = 0
-      while (z < w.nodes.length) { place(w.nodes(z), w.to(z)); z += 1 }
-      if (w.left == null) w.moved
-      else {
-        m.add(w.left.m); m.add(w.right.m)
-        w.moved + replay(w.left) + replay(w.right)
       }
     }
 
@@ -193,7 +174,9 @@ final class CandidateFilter(points: Array[Array[Double]], k: Int, tree: BallTree
     else {
       val top = new Walk(m)
       rec(top, tree.root, IndexSort.iota(k))
-      replay(top)
+      var p = 0
+      while (p < n) { place(at(p), to(p)); p = at(p).end }
+      top.moved
     }
   }
 

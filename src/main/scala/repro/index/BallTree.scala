@@ -34,20 +34,17 @@ final class BallTree(
     val points: Array[Array[Double]],
     val perm: Array[Int],
     val root: BallNode,
-    val nodeCount: Int,
-    val leafCount: Int,
+    val nodes: Array[BallNode], // by id; ids are assigned in preorder
     val capacity: Int,
     val pointPsi: Array[Double], // per point: distance to its leaf's pivot
     val buildNanos: Long
 ) extends Serializable {
 
-  def leaves: Seq[BallNode] = {
-    val buf = new scala.collection.mutable.ArrayBuffer[BallNode]
-    def rec(nd: BallNode): Unit =
-      if (nd.isLeaf) buf += nd else { rec(nd.left); rec(nd.right) }
-    if (root != null) rec(root)
-    buf.toSeq
-  }
+  def nodeCount: Int = nodes.length
+  def leafCount: Int = nodes.count(_.isLeaf)
+
+  /** The leaves in depth-first order. */
+  def leaves: Seq[BallNode] = nodes.filter(_.isLeaf).toSeq
 
   /** Indices of all points with ‖x − q‖ < r, strictly: a point at exactly r
     * is left out. Node visits and distances are counted into `m`. A leaf's
@@ -105,8 +102,7 @@ object BallTree {
     val n = points.length
     val perm = Array.tabulate(n)(identity)
     val rnd = new scala.util.Random(seed)
-    var nodeId = 0
-    var leafCnt = 0
+    val built = new scala.collection.mutable.ArrayBuffer[BallNode]
     val pointPsi = new Array[Double](n)
     val sq = new Array[Double](n)
 
@@ -139,19 +135,20 @@ object BallTree {
         z += 1
       }
       val psi = if (parentPivot == null) 0.0 else Geometry.dist(pivot, parentPivot)
-      val id = nodeId; nodeId += 1
+      val id = built.length
+      built += null // filled once the children are built
 
       if (num <= capacity || radius == 0.0) {
-        leafCnt += 1
         z = start
         while (z < end) { pointPsi(perm(z)) = math.sqrt(sq(z)); z += 1 }
-        new BallNode(id, pivot, radius, sv, num, start, end, psi, height, null, null)
+        built(id) = new BallNode(id, pivot, radius, sv, num, start, end, psi, height, null, null)
       } else {
         val mid = split(start, end, pivot, radius)
         val left = mkNode(start, mid, pivot, height + 1)
         val right = mkNode(mid, end, pivot, height + 1)
-        new BallNode(id, pivot, radius, sv, num, start, end, psi, height, left, right)
+        built(id) = new BallNode(id, pivot, radius, sv, num, start, end, psi, height, left, right)
       }
+      built(id)
     }
 
     /** The first point of perm[start, end) farthest from q. */
@@ -230,7 +227,7 @@ object BallTree {
     }
 
     val root = if (n == 0) null else mkNode(0, n, null, 0)
-    new BallTree(points, perm, root, nodeId, leafCnt, capacity, pointPsi,
+    new BallTree(points, perm, root, built.toArray, capacity, pointPsi,
       System.nanoTime() - t0)
   }
 }

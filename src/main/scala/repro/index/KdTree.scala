@@ -94,21 +94,18 @@ object KdKMeans extends Strategy {
 final class KdKMeansState(points: Array[Array[Double]], k: Int)
     extends PointState(points, k) {
   private val tree = if (n == 0) null else KdTree.build(points)
-  private var movedThisIter = 0L
 
-  def step(info: CentroidInfo): Partials = {
-    val t0 = System.nanoTime()
-    movedThisIter = 0
+  protected def assignPhase(info: CentroidInfo): Long = {
+    var moved = 0L
     val cs = info.centroids
-    val sums = Array.ofDim[Double](k, d)
-    val counts = new Array[Long](k)
+    clearSums()
 
     def bulkAssign(nd: KdNode, j: Int): Unit = {
       Geometry.addTo(sums(j), nd.sv); counts(j) += nd.num
       var z = nd.start
       while (z < nd.end) {
         val i = tree.perm(z)
-        if (assign(i) != j) { assign(i) = j; movedThisIter += 1 }
+        if (assign(i) != j) { assign(i) = j; moved += 1 }
         z += 1
       }
     }
@@ -152,7 +149,7 @@ final class KdKMeansState(points: Array[Array[Double]], k: Int)
           val x = points(i)
           val best = nearestSq(x, cand)
           m.pointAccess += cand.length
-          if (assign(i) != best) { assign(i) = best; movedThisIter += 1 }
+          if (assign(i) != best) { assign(i) = best; moved += 1 }
           Geometry.addTo(sums(best), x); counts(best) += 1
           z += 1
         }
@@ -169,7 +166,6 @@ final class KdKMeansState(points: Array[Array[Double]], k: Int)
     }
 
     if (tree != null && tree.root != null) rec(tree.root, IndexSort.iota(k))
-    val t1 = System.nanoTime()
-    new Partials(sums, counts, null, movedThisIter, n.toLong, m.snapshot(), t1 - t0, 0L)
+    moved
   }
 }

@@ -1,5 +1,7 @@
 package repro.unik
 
+import scala.collection.mutable.ArrayBuffer
+
 import repro.core._
 import repro.index.{BallNode, BallTree, CandidateFilter}
 
@@ -47,7 +49,12 @@ object UniKStrategy {
   * pass that seeds the bounds and object lists, whatever the driver's
   * iteration, so a state rebuilt mid-run (a recomputed Spark partition)
   * starts from exact bounds; the traversal of later steps follows `mode`,
-  * and `Adaptive` times the state's own first two steps.
+  * and `Adaptive` times the assignment phase of the state's own first two
+  * steps. A root pass adds every node and point into the sums as it places
+  * them; a cluster pass logs each mover, a node through its sum vector or a
+  * point, in one `MoveLog`, which the refinement phase applies in order.
+  * The group-bound arrays hold t = `Grouper.nGroupsFor(k)` bounds per node
+  * and point, the group count of every `GroupInfo` over k centroids.
   */
 final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed: Long)
     extends PointState(points, k) {
@@ -55,50 +62,26 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
   private val tree = BallTree.build(points, seed = seed)
   private val filter = new CandidateFilter(points, k, tree, assign, m)
 
-  private var t = 0 // #groups, fixed by the first step
+  private val t = Grouper.nGroupsFor(k)
   // Persistent bounds, indexed by node id / point index.
-  private var nodeUb: Array[Double] = null
-  private var nodeGlb: Array[Double] = null  // nodeCount × t
-  private var ptUb: Array[Double] = null
-  private var ptGlb: Array[Double] = null    // n × t
-  private val nodesById = new Array[BallNode](math.max(1, tree.nodeCount))
-  locally {
-    def walk(nd: BallNode): Unit = {
-      if (nd != null) { nodesById(nd.id) = nd; if (!nd.isLeaf) { walk(nd.left); walk(nd.right) } }
-    }
-    if (tree.root != null) walk(tree.root)
-  }
+  private val nodeUb = new Array[Double](tree.nodeCount)
+  private val nodeGlb = new Array[Double](tree.nodeCount * t)
+  private val ptUb = new Array[Double](n)
+  private val ptGlb = new Array[Double](n * t)
 
   // Cluster object lists: value v > 0 encodes node id v-1; v < 0 point ~v.
-  private var lists: Array[scala.collection.mutable.ArrayBuffer[Int]] = null
+  private var lists = Array.fill(k)(new ArrayBuffer[Int])
 
-  // Incremental refinement state.
-  private val sums = Array.ofDim[Double](k, d)
-  private val counts = new Array[Long](k)
+  // The cluster pass's movers, applied by the refinement phase.
+  private val log = new MoveLog(m)
   private var moved = 0L
-  // pending sum-vector ops applied in the refine phase
-  private val opVec = new scala.collection.mutable.ArrayBuffer[Array[Double]]
-  private val opNum = new scala.collection.mutable.ArrayBuffer[Long]
-  private val opFrom = new scala.collection.mutable.ArrayBuffer[Int]
-  private val opTo = new scala.collection.mutable.ArrayBuffer[Int]
-  private val opPoint = new scala.collection.mutable.ArrayBuffer[Boolean]
 
   private var steps = 0 // steps taken by this state
   private var step1Nanos = -1L
   private var chosenSingle = true
 
-  def step(info: CentroidInfo): Partials = {
-    if (t == 0) {
-      t = info.groups.nGroups
-      nodeUb = new Array[Double](tree.nodeCount)
-      nodeGlb = new Array[Double](tree.nodeCount * t)
-      ptUb = new Array[Double](n)
-      ptGlb = new Array[Double](n * t)
-      lists = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
-    }
+  protected def assignPhase(info: CentroidInfo): Long = {
     moved = 0
-    opVec.clear(); opNum.clear(); opFrom.clear(); opTo.clear(); opPoint.clear()
-
     steps += 1
     val useRoot = steps == 1 || (mode match {
       case UniKMode.Multiple => true
@@ -108,16 +91,13 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
 
     val t0 = System.nanoTime()
     if (useRoot) rootTraversal(info) else clusterPass(info)
-    val t1 = System.nanoTime()
-    if (!useRoot) applyOps() // incremental refinement
-    val t2 = System.nanoTime()
-
-    if (steps == 1) step1Nanos = t1 - t0
-    if (steps == 2) chosenSingle = t1 - t0 <= step1Nanos
-
-    new Partials(Geometry.copy2(sums), counts.clone(), null, moved, n.toLong,
-      m.snapshot(), t1 - t0, t2 - t1)
+    if (steps == 1) step1Nanos = System.nanoTime() - t0
+    if (steps == 2) chosenSingle = System.nanoTime() - t0 <= step1Nanos
+    moved
   }
+
+  override protected def refines: Boolean = true
+  override protected def refinePhase(): Unit = log.applyTo(sums, counts)
 
   // ------------------------------------------------------------------
   // Root pass: the shared candidate-filtering traversal, seeding bounds and
@@ -127,12 +107,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
   // ------------------------------------------------------------------
   private def rootTraversal(info: CentroidInfo): Unit = {
     val seeding = steps == 1
-    var j = 0
-    while (j < k) {
-      java.util.Arrays.fill(sums(j), 0.0); counts(j) = 0
-      if (seeding) lists(j).clear()
-      j += 1
-    }
+    clearSums()
+    if (seeding) lists.foreach(_.clear())
     moved += filter.run(info.centroids, sums, counts,
       if (seeding && tree.root != null) new Seeding(info.groups) else null)
   }
@@ -202,8 +178,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
   // Cluster pass (index-single): drift-update bounds, test, split, move.
   // ------------------------------------------------------------------
   private def clusterPass(info: CentroidInfo): Unit = {
-    val newLists = Array.fill(k)(new scala.collection.mutable.ArrayBuffer[Int])
-    val stack = new scala.collection.mutable.ArrayBuffer[Int]
+    val newLists = Array.fill(k)(new ArrayBuffer[Int])
+    val stack = new ArrayBuffer[Int]
     val gs = new GroupScan(t, k)
 
     var cl = 0
@@ -224,12 +200,12 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
   }
 
   private def processObject(obj: Int, cl: Int, info: CentroidInfo, gs: GroupScan,
-                            newLists: Array[scala.collection.mutable.ArrayBuffer[Int]],
-                            stack: scala.collection.mutable.ArrayBuffer[Int]): Unit = {
+                            newLists: Array[ArrayBuffer[Int]],
+                            stack: ArrayBuffer[Int]): Unit = {
     val cs = info.centroids
     val gi = info.groups
     val isNode = obj > 0
-    val nd = if (isNode) nodesById(obj - 1) else null
+    val nd = if (isNode) tree.nodes(obj - 1) else null
     val pi = if (isNode) -1 else -obj - 1
     val r = if (isNode) nd.radius else 0.0
     val base = if (isNode) nd.id * t else pi * t
@@ -266,7 +242,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
 
     if (isNode && gs.d2 - d1 < 2.0 * r) {
       // Eq. 9 failed: split the node, children inherit bounds via ψ (Eq. 12)
-      pushOp(nd.sv, nd.num, cl, -1, isPoint = false) // remove node sv from cl
+      log.add(nd.sv, nd.num, cl, -1) // remove node sv from cl
       if (nd.isLeaf) {
         var z = nd.start
         while (z < nd.end) {
@@ -277,7 +253,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
           m.boundUpdate += t + 1
           // point keeps cluster cl until its own test says otherwise; its
           // vector must re-enter cl's sums (the node sv covered it before)
-          pushOp(points(i), 1, -1, cl, isPoint = true)
+          log.point(points(i), -1, cl)
           stack += -(i + 1)
           z += 1
         }
@@ -287,7 +263,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
           var g3 = 0
           while (g3 < t) { nodeGlb(child.id * t + g3) = bounds(base + g3) - child.psi; g3 += 1 }
           m.boundUpdate += t + 1
-          pushOp(child.sv, child.num, -1, cl, isPoint = false)
+          log.add(child.sv, child.num, -1, cl)
           stack += (child.id + 1)
         }
         inherit(nd.left)
@@ -299,10 +275,10 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
     // assigned (node with enough gap, or point)
     if (best != cl) {
       if (isNode) {
-        pushOp(nd.sv, nd.num, cl, best, isPoint = false)
+        log.add(nd.sv, nd.num, cl, best)
         moved += CandidateFilter.assignNode(tree, assign, nd, best)
       } else {
-        pushOp(points(pi), 1, cl, best, isPoint = true)
+        log.point(points(pi), cl, best)
         if (assign(pi) != best) { assign(pi) = best; moved += 1 }
       }
     }
@@ -310,20 +286,5 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
     if (isNode) { nodeUb(nd.id) = d1 } else { ptUb(pi) = d1 }
     m.boundUpdate += 1
     newLists(best) += obj
-  }
-
-  private def pushOp(vec: Array[Double], num: Long, from: Int, to: Int, isPoint: Boolean): Unit = {
-    opVec += vec; opNum += num; opFrom += from; opTo += to; opPoint += isPoint
-  }
-
-  private def applyOps(): Unit = {
-    var z = 0
-    while (z < opVec.length) {
-      val v = opVec(z)
-      if (opFrom(z) >= 0) { Geometry.subFrom(sums(opFrom(z)), v); counts(opFrom(z)) -= opNum(z) }
-      if (opTo(z) >= 0) { Geometry.addTo(sums(opTo(z)), v); counts(opTo(z)) += opNum(z) }
-      if (opPoint(z)) m.pointAccess += 1
-      z += 1
-    }
   }
 }

@@ -256,6 +256,38 @@ class ExactnessSpec extends AnyFunSuite {
     }
   }
 
+  // Every step's `Partials` must agree with the assignments it leaves, on one
+  // thread and on the pool: counts are their histogram and sum to n, `moved`
+  // is the number of points whose cluster changed, and INDE and KdTree, which
+  // add points and nodes as they assign them, report no refinement time.
+  for (s <- Strategies.byName.values.toSeq.sortBy(_.name) ++
+         Seq(BallTree.HKT, BallTree.MTree, BallTree.Cover).map(new BallKMeansStrategy(_))) {
+    test(s"${s.name}'s partials match its assignments at every step, on one thread and the pool") {
+      val noRefine = s.isInstanceOf[BallKMeansStrategy] || s == KdKMeans
+      for (pooled <- Seq(false, true)) {
+        val state = s.newState(blockPts, 60, 17L)
+        var prev = Array.fill(blockPts.length)(-1)
+        var steps = 0
+        def fit() = Runner.fitStates(s, Seq(state), ps => { (info: CentroidInfo) =>
+          val p = ps.head.step(info)
+          val now = ps.head.assignments
+          val hist = new Array[Long](60)
+          now.foreach(a => hist(a) += 1)
+          steps += 1
+          val at = s"step $steps${if (pooled) " on the pool" else ""}"
+          assert(p.counts.toSeq == hist.toSeq, s"counts are not the assignments' histogram at $at")
+          assert(p.counts.sum == blockPts.length, s"counts do not sum to n at $at")
+          assert(p.moved == now.indices.count(i => now(i) != prev(i)), s"moved is off at $at")
+          if (noRefine) assert(p.refineNanos == 0L, s"refinement time at $at")
+          prev = now
+          p
+        }, 60, blockInit, 10, 17L)
+        if (pooled) fit() else Blocks.oneThread(fit())
+        assert(steps == 10)
+      }
+    }
+  }
+
   test("fitLocal runs every block on one thread, also inside a nested oneThread") {
     val seen = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
     def blocks(n: Int): Unit =
