@@ -1,16 +1,15 @@
 package repro.bench
 
-import org.apache.spark.rdd.RDD
-import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.core._
-import repro.spark.{SparkKMeans, SparkKMeansSpec}
+import repro.spark.{SparkKMeans, SparkKMeansSpec, StateRDD}
 
 /** The Spark floor of one `SparkKMeans` step job, on the shared test session:
   * 30 step jobs over cached Yinyang states (BigCross analog, k = 100, 2
   * partitions) through `RDD.map` + `collect`, the path `SparkKMeans` took
   * before, and 30 through its `StateTask` `runJob`. The two paths step two
-  * copies of the same states, built from one shuffle, under one broadcast
+  * copies of the same states, each built by `SparkKMeans.cachedStates` over
+  * one parallelized input, as a fit builds them, under one broadcast
   * `CentroidInfo`, in alternating order. After the seeding step no point
   * moves and every bound holds, so the time is nearly all Spark's. A job's
   * time is the job plus the partition-order merge of its `Partials`; the
@@ -28,11 +27,9 @@ class SparkJobBench extends SparkSpec {
     val parts = 2
     val pts = BenchEnv.points("BigCross")
     val init = BenchEnv.init("BigCross", k, 17L)
-    val shuffled = sc.parallelize(pts.toSeq, parts).repartition(parts)
-    def cachedStates(): RDD[PartitionState] = {
-      val states = shuffled
-        .mapPartitionsWithIndex((pid, it) => Iterator.single(YinyangKernel.newState(it.toArray, k, 17L ^ pid)))
-        .persist(StorageLevel.MEMORY_ONLY)
+    val input = sc.parallelize(pts.toSeq, parts)
+    def cachedStates(): StateRDD = {
+      val states = SparkKMeans.cachedStates(input, YinyangKernel, k, 17L)
       states.count()
       states
     }
@@ -70,8 +67,8 @@ class SparkJobBench extends SparkSpec {
       BenchEnv.emit("spark_jobs.md", md)
     } finally {
       b.destroy()
-      viaMap.unpersist(blocking = true)
-      viaTask.unpersist(blocking = true)
+      viaMap.release()
+      viaTask.release()
     }
   }
 }

@@ -36,7 +36,6 @@ final class BallTree(
     val root: BallNode,
     val nodes: Array[BallNode], // by id; ids are assigned in preorder
     val capacity: Int,
-    val pointPsi: Array[Double], // per point: distance to its leaf's pivot
     val buildNanos: Long
 ) extends Serializable {
 
@@ -103,7 +102,6 @@ object BallTree {
     val perm = Array.tabulate(n)(identity)
     val rnd = new scala.util.Random(seed)
     val built = new scala.collection.mutable.ArrayBuffer[BallNode]
-    val pointPsi = new Array[Double](n)
     val sq = new Array[Double](n)
 
     /** sq(z) = distSq(q, point at perm(z)) for z in [start, end): four points
@@ -139,8 +137,6 @@ object BallTree {
       built += null // filled once the children are built
 
       if (num <= capacity || radius == 0.0) {
-        z = start
-        while (z < end) { pointPsi(perm(z)) = math.sqrt(sq(z)); z += 1 }
         built(id) = new BallNode(id, pivot, radius, sv, num, start, end, psi, height, null, null)
       } else {
         val mid = split(start, end, pivot, radius)
@@ -227,7 +223,6 @@ object BallTree {
     }
 
     val root = if (n == 0) null else mkNode(0, n, null, 0)
-    new BallTree(points, perm, root, built.toArray, capacity, pointPsi,
-      System.nanoTime() - t0)
+    new BallTree(points, perm, root, built.toArray, capacity, System.nanoTime() - t0)
   }
 }

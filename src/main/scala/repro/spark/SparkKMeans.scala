@@ -2,7 +2,7 @@ package repro.spark
 
 import scala.reflect.ClassTag
 
-import org.apache.spark.{SparkContext, TaskContext}
+import org.apache.spark.{Partition, SparkContext, TaskContext}
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
@@ -15,6 +15,11 @@ import repro.core._
   * per-partition ball-tree). Each iteration's step broadcasts the
   * `CentroidInfo`, runs every state's `step` and merges the per-partition
   * `Partials` on the driver, in partition order.
+  *
+  * The states live in a `StateRDD` over the input's own partitions: state i
+  * is built from input partition i, and its task carries only the index and
+  * a broadcast of that input partition, never rows. The input is shuffled
+  * only when its partition count differs from `numPartitions`.
   *
   * A fit of t iterations runs t + 2 jobs: one that builds and caches the
   * states, t steps and one final SSE. Each is a `SparkContext.runJob` of a
@@ -38,22 +43,13 @@ object SparkKMeans {
           seed: Long = 17L): FitResult = {
     Runner.requireInit(init, k)
     val sc = spark.sparkContext
-    withCallSite(sc, s"SparkKMeans.fit ${strategy.name}")(withBroadcast(sc, strategy) { bStrategy =>
-      // The shuffle stays even when `points` already has `numPartitions`
-      // partitions: it cuts the lineage. Built straight from the input, the
-      // cached states' RDD keeps the input's partitions as parents, and every
-      // per-iteration task carries its parent partition, rows included (a
-      // `ParallelCollectionPartition` holds its slice, and a
-      // `CoalescedRDDPartition` holds its parents). Without the shuffle and
-      // the build job, `spark-k100` (k=100, local[2], 4 vCPUs) spent
-      // 0.36–0.43 s instead of 0.14–0.16 s per cell in Spark overhead, and
-      // its fit_s rose by 46–47%.
-      val states = points
-        .repartition(numPartitions)
-        .mapPartitionsWithIndex { (pid, it) =>
-          Iterator.single(bStrategy.value.newState(it.toArray, k, seed ^ pid))
-        }
-        .persist(StorageLevel.MEMORY_ONLY)
+    withCallSite(sc, s"SparkKMeans.fit ${strategy.name}") {
+      // The input is shuffled only to change its partition count: the
+      // `StateRDD` keeps the input's partitions, and its tasks carry
+      // broadcasts of them, not rows. A shuffle would Java-serialize, write
+      // and read back every row once per fit.
+      val input = if (points.getNumPartitions == numPartitions) points else points.repartition(numPartitions)
+      val states = cachedStates(input, strategy, k, seed)
       // One result per partition, in partition order.
       def run[U: ClassTag](task: StateTask[U]): Array[U] =
         sc.runJob(states, task, states.partitions.indices)
@@ -66,9 +62,16 @@ object SparkKMeans {
           info => withBroadcast(sc, info)(b => run(stepTask(b)).reduce(_ merge _)),
           cs => withBroadcast(sc, cs)(b => run(new StateTask(_.finalSse(b.value))).foldLeft(0.0)(_ + _)),
           k, init, maxIters, seed)
-      } finally states.unpersist(blocking = true)
-    })
+      } finally states.release()
+    }
   }
+
+  /** The cached partition states of a fit over `input`, one per input
+    * partition, built by the first job that reads them. The caller must
+    * `release` them.
+    */
+  private[repro] def cachedStates(input: RDD[Array[Double]], strategy: Strategy, k: Int, seed: Long): StateRDD =
+    new StateRDD(input, strategy, k, seed).persist(StorageLevel.MEMORY_ONLY)
 
   /** One iteration's task: every state's `step` under the broadcast info. */
   private[repro] def stepTask(info: Broadcast[CentroidInfo]): StateTask[Partials] =
@@ -116,3 +119,34 @@ private[repro] final class StateTask[U](f: PartitionState => U)
     result
   }
 }
+
+/** The partition states of one fit: partition i is `strategy`'s state over
+  * input partition i, built with seed `seed ^ i`. A `StatePartition` carries
+  * its index and a broadcast of its input partition, never rows, so a task
+  * stays small and a lost or evicted state is rebuilt from the broadcast,
+  * which lives until `release`. The strategy is a field, so it travels in
+  * each job's task binary.
+  */
+private[repro] final class StateRDD(input: RDD[Array[Double]], strategy: Strategy, k: Int, seed: Long)
+    extends RDD[PartitionState](input) {
+
+  @transient private val parents: Array[Broadcast[Partition]] =
+    input.partitions.map(sparkContext.broadcast[Partition](_))
+
+  protected def getPartitions: Array[Partition] =
+    Array.tabulate(parents.length)(i => new StatePartition(i, parents(i)))
+
+  def compute(split: Partition, context: TaskContext): Iterator[PartitionState] = {
+    val p = split.asInstanceOf[StatePartition]
+    Iterator.single(strategy.newState(input.iterator(p.parent.value, context).toArray, k, seed ^ p.index))
+  }
+
+  override protected def getPreferredLocations(split: Partition): Seq[String] =
+    input.preferredLocations(input.partitions(split.index))
+
+  /** Drops the cached states and destroys every parent broadcast. */
+  def release(): Unit = try unpersist(blocking = true) finally parents.foreach(_.destroy())
+}
+
+/** State partition `index`: a broadcast of input partition `index`. */
+private[repro] final class StatePartition(val index: Int, val parent: Broadcast[Partition]) extends Partition

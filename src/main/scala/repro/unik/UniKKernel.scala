@@ -59,7 +59,16 @@ object UniKStrategy {
 final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed: Long)
     extends PointState(points, k) {
 
-  private val tree = BallTree.build(points, seed = seed)
+  private[unik] val tree = BallTree.build(points, seed = seed)
+  // Per point: ψ, the distance to its leaf's pivot (Eq. 12 with r = 0), with
+  // the bits of the leaf's radius scan in `BallTree.build` (`distSq4` gives
+  // the bits of `distSq`).
+  private[unik] val pointPsi: Array[Double] = {
+    val psi = new Array[Double](n)
+    for (leaf <- tree.leaves; z <- leaf.start until leaf.end)
+      psi(tree.perm(z)) = math.sqrt(Geometry.distSq(leaf.pivot, points(tree.perm(z))))
+    psi
+  }
   private val filter = new CandidateFilter(points, k, tree, assign, m)
 
   private val t = Grouper.nGroupsFor(k)
@@ -151,7 +160,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
               m: Metrics): Unit = {
       // the leaf's carry degrades to the point by its own ψ (Eq. 12, r = 0)
       var g = 0
-      while (g < t) { ptGlb(i * t + g) = nodeGlb(leaf.id * t + g) - tree.pointPsi(i); g += 1 }
+      while (g < t) { ptGlb(i * t + g) = nodeGlb(leaf.id * t + g) - pointPsi(i); g += 1 }
       var c = 0
       while (c < kept.length) {
         if (c != b) lower(ptGlb, i * t, kept(c), math.sqrt(distSq(c)))
@@ -247,9 +256,9 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
         var z = nd.start
         while (z < nd.end) {
           val i = tree.perm(z)
-          ptUb(i) = ub + tree.pointPsi(i)
+          ptUb(i) = ub + pointPsi(i)
           var g3 = 0
-          while (g3 < t) { ptGlb(i * t + g3) = bounds(base + g3) - tree.pointPsi(i); g3 += 1 }
+          while (g3 < t) { ptGlb(i * t + g3) = bounds(base + g3) - pointPsi(i); g3 += 1 }
           m.boundUpdate += t + 1
           // point keeps cluster cl until its own test says otherwise; its
           // vector must re-enter cl's sums (the node sv covered it before)

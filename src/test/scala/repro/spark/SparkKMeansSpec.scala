@@ -1,10 +1,15 @@
 package repro.spark
 
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
+import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicInteger
+import scala.jdk.CollectionConverters._
 
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.{ListenerBusDrain, LiveBroadcasts, ShuffleStage}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
+import org.apache.spark.storage.StorageLevel
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Millis, Seconds, Span}
 import repro.core._
 import repro.index.{BallKMeansStrategy, BallTree}
 import repro.SparkSpec
@@ -103,8 +108,13 @@ class SparkKMeansSpec extends SparkSpec {
     val sc = spark.sparkContext
     val rdd = sc.parallelize(pts.toSeq, 4)
     val before = sc.getPersistentRDDs.keySet
+    val broadcasts = LiveBroadcasts(sc)
     intercept[Exception](SparkKMeans.fit(spark, rdd, SparkKMeansSpec.FailingKernel, k, init))
     assert(sc.getPersistentRDDs.keySet == before)
+    // `Broadcast.destroy` drops the blocks asynchronously.
+    eventually(timeout(Span(10, Seconds)), interval(Span(20, Millis))) {
+      assert((LiveBroadcasts(sc) -- broadcasts).isEmpty, "a broadcast of the failed fit is left")
+    }
     intercept[IllegalArgumentException](SparkKMeans.fit(spark, rdd, LloydKernel, k, init.take(k - 1)))
     intercept[IllegalArgumentException](
       SparkKMeans.fit(spark, rdd, LloydKernel, k, init.updated(1, Array(0.5))))
@@ -129,20 +139,115 @@ class SparkKMeansSpec extends SparkSpec {
     * had the call site `label`.
     */
   private def jobsDuring(label: String)(f: => Unit): (Int, Int) = {
+    val s = submittedDuring(label)(f)
+    (s.jobs, s.labelled)
+  }
+
+  /** Runs `f` and returns what it submitted to the scheduler. */
+  private def submittedDuring(label: String)(f: => Unit): SparkKMeansSpec.Submitted = {
     val sc = spark.sparkContext
     ListenerBusDrain(sc) // earlier tests' events must not reach the listener
     val all = new AtomicInteger
     val labelled = new AtomicInteger
+    val stages = new ConcurrentLinkedQueue[SparkKMeansSpec.Stage]
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = {
         all.incrementAndGet()
         if (e.properties != null && e.properties.getProperty(SparkKMeans.CallSiteShort) == label)
           labelled.incrementAndGet()
       }
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        stages.add(SparkKMeansSpec.Stage(ShuffleStage(e.stageInfo), e.stageInfo.numTasks))
     }
     sc.addSparkListener(listener)
     try { f; ListenerBusDrain(sc) } finally sc.removeSparkListener(listener)
-    (all.get, labelled.get)
+    SparkKMeansSpec.Submitted(all.get, labelled.get, stages.asScala.toSeq)
+  }
+
+  // With no shuffle, each job is one stage of one task per input partition.
+  for ((n, parts) <- Seq((800, 4), (5, 8))) {
+    test(s"a fit over an input of numPartitions partitions submits t + 2 stages, none a shuffle (n=$n over $parts)") {
+      val few = pts.take(n)
+      val kk = math.min(k, n / 2)
+      val init2 = Init.kmeansPlusPlus(few, kk, 84L)
+      val rdd = spark.sparkContext.parallelize(few.toSeq, parts)
+      for (s <- Seq(LloydKernel, YinyangKernel, Strategies.unikMultiple)) {
+        var res: FitResult = null
+        val sub = submittedDuring(s"SparkKMeans.fit ${s.name}") {
+          res = SparkKMeans.fit(spark, rdd, s, kk, init2, maxIters = 8, numPartitions = parts)
+        }
+        assert(sub.jobs == res.iterations + 2, s"${s.name}: $sub")
+        assert(sub.stages == Seq.fill(sub.jobs)(SparkKMeansSpec.Stage(shuffle = false, parts)), s"${s.name}: $sub")
+      }
+    }
+  }
+
+  // Another partition count is the one case that still shuffles: one map
+  // stage in the build job, whose output the later jobs reuse.
+  for ((inParts, parts) <- Seq((3, 4), (6, 2))) {
+    test(s"Spark fits of an input of $inParts partitions over $parts equal the local runner (n=5)") {
+      val few = pts.take(5)
+      val init2 = Init.kmeansPlusPlus(few, 2, 83L)
+      val rdd = spark.sparkContext.parallelize(few.toSeq, inParts)
+      for (s <- Seq(LloydKernel, YinyangKernel, Strategies.index, Strategies.unikMultiple)) {
+        var dist: FitResult = null
+        val sub = submittedDuring(s"SparkKMeans.fit ${s.name}") {
+          dist = SparkKMeans.fit(spark, rdd, s, 2, init2, maxIters = 8, numPartitions = parts)
+        }
+        assertSameFit(dist, Runner.fitLocal(s, few, 2, init2, maxIters = 8))
+        assert(sub.stages == SparkKMeansSpec.Stage(shuffle = true, inParts) +:
+          Seq.fill(sub.jobs)(SparkKMeansSpec.Stage(shuffle = false, parts)), s"${s.name}: $sub")
+      }
+    }
+  }
+
+  private def serializedSize(o: AnyRef): Int = {
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(o)
+    out.close()
+    bytes.size
+  }
+
+  // A task carries its partition: the input partition's rows must not ride along.
+  for (n <- Seq(800, 8000)) {
+    test(s"every state partition Java-serializes to under 1 KB (n=$n)") {
+      val rdd = spark.sparkContext.parallelize(TestData.mixture(n, 4, 10, 0.04, 85L).toSeq, 4)
+      val states = SparkKMeans.cachedStates(rdd, LloydKernel, k, 17L)
+      try {
+        for (p <- states.partitions) {
+          val size = serializedSize(p)
+          assert(size < 1024, s"partition ${p.index}: $size bytes")
+          assert(serializedSize(rdd.partitions(p.index)) > 8 * 4 * n / 4, "the input partition holds its rows")
+        }
+      } finally states.release()
+    }
+  }
+
+  test("states rebuilt after an unpersist step as fresh states over the same input slices, bit for bit") {
+    val sc = spark.sparkContext
+    val parts = 3
+    val states = SparkKMeans.cachedStates(sc.parallelize(pts.toSeq, parts), YinyangKernel, k, 17L)
+    val req = YinyangKernel.req.normalized
+    val info = CentroidInfo.compute(1, init, null, req, new Grouper(5L).update(init, 1, req.regroup), null)
+    val b = sc.broadcast(info)
+    try {
+      def step(): Array[Partials] = sc.runJob(states, SparkKMeans.stepTask(b), states.partitions.indices)
+      val fresh = (0 until parts).map { i =>
+        val slice = pts.slice(i * pts.length / parts, (i + 1) * pts.length / parts)
+        YinyangKernel.newState(slice, k, 17L ^ i).step(info)
+      }
+      assert(step().zip(fresh).forall { case (a, w) => SparkKMeansSpec.sameBits(a, w) })
+      // A cached state steps on from its bounds, which a fresh state does not have.
+      assert(step().zip(fresh).forall { case (a, w) => !SparkKMeansSpec.sameBits(a, w) })
+      states.unpersist(blocking = true)
+      states.persist(StorageLevel.MEMORY_ONLY)
+      for ((a, i) <- step().zipWithIndex)
+        assert(SparkKMeansSpec.sameBits(a, fresh(i)), s"rebuilt partition $i")
+    } finally {
+      b.destroy()
+      states.release()
+    }
   }
 
   // One job builds the states, one per iteration steps them, one sums the SSE.
@@ -201,6 +306,14 @@ class SparkKMeansSpec extends SparkSpec {
 }
 
 object SparkKMeansSpec {
+
+  /** A submitted stage: whether it wrote shuffle output, and its tasks. */
+  final case class Stage(shuffle: Boolean, tasks: Int)
+
+  /** What a run submitted: its jobs, how many of those had the watched call
+    * site, and its stages in submission order.
+    */
+  final case class Submitted(jobs: Int, labelled: Int, stages: Seq[Stage])
 
   private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
 
