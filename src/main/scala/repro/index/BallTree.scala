@@ -45,6 +45,18 @@ final class BallTree(
   /** The leaves in depth-first order. */
   def leaves: Seq[BallNode] = nodes.filter(_.isLeaf).toSeq
 
+  /** Per point: ψ, the distance to its leaf's pivot (Eq. 12 with r = 0), with
+    * the bits of the leaf's radius scan in `build` (`distSq4` gives the bits
+    * of `distSq`). Computed on each call, so only a caller that needs it pays
+    * for the array.
+    */
+  def pointPsi(): Array[Double] = {
+    val psi = new Array[Double](points.length)
+    for (leaf <- leaves; z <- leaf.start until leaf.end)
+      psi(perm(z)) = math.sqrt(Geometry.distSq(leaf.pivot, points(perm(z))))
+    psi
+  }
+
   /** Indices of all points with ‖x − q‖ < r, strictly: a point at exactly r
     * is left out. Node visits and distances are counted into `m`. A leaf's
     * points are measured four per `Geometry.distSq4` pass, in leaf order.

@@ -60,15 +60,8 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
     extends PointState(points, k) {
 
   private[unik] val tree = BallTree.build(points, seed = seed)
-  // Per point: ψ, the distance to its leaf's pivot (Eq. 12 with r = 0), with
-  // the bits of the leaf's radius scan in `BallTree.build` (`distSq4` gives
-  // the bits of `distSq`).
-  private[unik] val pointPsi: Array[Double] = {
-    val psi = new Array[Double](n)
-    for (leaf <- tree.leaves; z <- leaf.start until leaf.end)
-      psi(tree.perm(z)) = math.sqrt(Geometry.distSq(leaf.pivot, points(tree.perm(z))))
-    psi
-  }
+  // per point: the distance to its leaf's pivot; only UniK keeps this array
+  private[unik] val pointPsi: Array[Double] = tree.pointPsi()
   private val filter = new CandidateFilter(points, k, tree, assign, m)
 
   private val t = Grouper.nGroupsFor(k)

@@ -63,8 +63,17 @@ class BallTreeSpec extends AnyFunSuite {
       assert(tree.root.psi == 0.0)
     }
 
-    test(s"${kind.label}/$dsName: perm is a permutation") {
+    test(s"${kind.label}/$dsName: perm is a permutation; pointPsi matches leaves") {
       assert(tree.perm.sorted.toSeq == (0 until pts.length))
+      val pointPsi = tree.pointPsi()
+      tree.leaves.foreach { leaf =>
+        var z = leaf.start
+        while (z < leaf.end) {
+          val i = tree.perm(z)
+          assert(math.abs(pointPsi(i) - Geometry.dist(leaf.pivot, pts(i))) < 1e-9)
+          z += 1
+        }
+      }
     }
 
     test(s"${kind.label}/$dsName: node counts are consistent") {
