@@ -2,7 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.unik.UniKStrategy
 
 /** Table 3: bound and data accesses on BigCross with k = 100 — Lloyd vs
   * SEQU (Yinyang) vs INDE (Ball-tree) vs UniK. The paper labels the table
@@ -22,8 +21,8 @@ class Table3Bench extends AnyFunSuite {
     val init = BenchEnv.init(name, k, 17L)
 
     val rows = Seq[(String, Strategy)](
-      ("Lloyd", LloydKernel), ("SEQU", YinyangKernel),
-      ("INDE", Strategies.index), ("UniK", UniKStrategy.default)).map {
+      ("Lloyd", LloydKernel), ("SEQU", Strategies.sequ),
+      ("INDE", Strategies.index), ("UniK", Strategies.unik)).map {
       case (label, s) => (label, Runner.fitLocal(s, pts, k, init, maxIters = 10))
     }
 

@@ -2,7 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
-import repro.unik.UniKStrategy
 
 /** Table 4 — the multi-criteria rating of every method. The paper fills it
   * with dot-ratings by hand; we compute each column from measured data:
@@ -37,7 +36,7 @@ class Table4Bench extends AnyFunSuite {
     BenchEnv.warm()
     val probes = Seq(("BigCross", 100), ("NYC", 100), ("Kegg", 100))
     val methods: Seq[Strategy] =
-      Strategies.sequential ++ Seq(Strategies.index, UniKStrategy.default, Strategies.full)
+      Strategies.sequential ++ Seq(Strategies.index, Strategies.unik, Strategies.full)
 
     val measured = methods.map { s =>
       val runs = probes.map { case (ds, k) =>

@@ -5,7 +5,6 @@ import repro.core._
 import repro.data.Datasets
 import repro.index.BallTree
 import repro.tune.{Features, UTune}
-import repro.unik.UniKStrategy
 
 /** Table 6 (overall speedup over Lloyd + pruned %), Table 8 (assignment
   * speedup) and Table 9 (refinement speedup) for SEQU (Yinyang), INDE
@@ -39,9 +38,9 @@ class Table6Bench extends AnyFunSuite {
           UTune.predictStrategy(train, feats)
         }
         val others = Seq(
-          "SEQU" -> BenchEnv.timed(YinyangKernel, name, k),
+          "SEQU" -> BenchEnv.timed(Strategies.sequ, name, k),
           "INDE" -> BenchEnv.timed(Strategies.index, name, k),
-          "UniK" -> BenchEnv.timed(UniKStrategy.default, name, k),
+          "UniK" -> BenchEnv.timed(Strategies.unik, name, k),
           "UTune" -> BenchEnv.timed(utuneStrategy, name, k))
         (name, k, Cell(lloyd, others))
       }

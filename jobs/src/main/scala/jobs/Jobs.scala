@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.Datasets
 import repro.spark.SparkKMeans
-import repro.unik.UniKStrategy
 
 /** Table 6 (one cell): speedups of SEQU/INDE/UniK over Lloyd on a dataset,
   * run through the DISTRIBUTED SparkKMeans engine: one `runJob` per
@@ -29,7 +28,7 @@ object Table6Job {
     val init = Init.kmeansPlusPlus(pts, k, 17L)
     val rdd = spark.sparkContext.parallelize(pts.toSeq, parts)
     val lloyd = SparkKMeans.fit(spark, rdd, LloydKernel, k, init, 10, parts)
-    Seq[Strategy](YinyangKernel, Strategies.index, UniKStrategy.default).foreach { s =>
+    Seq(Strategies.sequ, Strategies.index, Strategies.unik).foreach { s =>
       val r = SparkKMeans.fit(spark, rdd, s, k, init, 10, parts)
       println(f"${s.name}%-8s speedup=${lloyd.totalSeconds / r.totalSeconds}%.2fx " +
         f"pruned=${r.prunedRatio * 100}%.0f%% sse=${r.sse}%.4f (lloyd sse=${lloyd.sse}%.4f)")

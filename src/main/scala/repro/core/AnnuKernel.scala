@@ -4,11 +4,10 @@ package repro.core
   * plus, when a full re-scan is needed, the candidate centroids are limited
   * to an annulus around the origin: | ‖c‖ − ‖x‖ | ≤ R with
   * R = max(tightened ub, d(x, second-nearest-from-last-scan)) (Eq. 5).
-  * Centroid norms are sorted once per iteration on the driver.
+  * Centroid norms are sorted once per iteration (`CentroidInfo.sortedNormVal`).
   */
 object AnnuKernel extends Strategy {
   val name = "Annu"
-  val req: Req = Req(cc = true, sortedNorms = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new AnnuState(points, k)

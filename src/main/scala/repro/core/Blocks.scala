@@ -6,9 +6,8 @@ import java.util.stream.IntStream
 import scala.reflect.ClassTag
 import scala.util.Try
 
-/** Contiguous point blocks run on the common ForkJoin pool (the pool
-  * `CentroidInfo` builds its centroid-pair rows on), or inside `oneThread`
-  * on one worker. A partition of n points
+/** Contiguous point blocks run on the common ForkJoin pool, or inside
+  * `oneThread` on one worker. A partition of n points
   * is cut into `count(n)` blocks of about n / count(n) points; each block's
   * result comes back at its own index, so a caller that merges the results
   * in index order gets the same answer whatever the number of blocks.
@@ -46,9 +45,9 @@ object Blocks {
   private lazy val single = new ForkJoinPool(1)
 
   /** Runs `body` on one thread: on a one-worker ForkJoin pool, where
-    * `count` is 1 and the centroid-pair rows and any explicit `map` run one
-    * after another (forks and parallel streams run in the pool of the worker
-    * that starts them). Results are the same bits as on the common pool.
+    * `count` is 1 and any explicit `map` runs its blocks one after another
+    * (forks and parallel streams run in the pool of the worker that starts
+    * them). Results are the same bits as on the common pool.
     */
   def oneThread[A](body: => A): A =
     if (ForkJoinTask.getPool eq single) body

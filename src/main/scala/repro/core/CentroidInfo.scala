@@ -1,26 +1,6 @@
 package repro.core
 
-/** Which centroid-side shared structures a strategy needs each iteration.
-  * Everything here is O(k·d) or O(k²) work done once per iteration on the
-  * driver and broadcast — never per point.
-  */
-final case class Req(
-    cc: Boolean = false,          // pairwise centroid distances (rows built in parallel) + s(c) = ½·min-other
-    neighbors: Boolean = false,   // per-centroid Exponion annuli (rank-doubling shells) over cc
-    sortedNorms: Boolean = false, // centroids sorted by norm (Annular)
-    blocks: Boolean = false,      // block norms (Block-Vector)
-    groups: Boolean = false,      // Yinyang-style centroid groups
-    regroup: Boolean = false,     // re-derive groups every iteration (Regroup)
-    radii: Boolean = false,       // per-cluster radius upper bounds (Pami20, Drift)
-    candidates: Boolean = false   // Pami20 per-cluster candidate sets (implies cc+radii)
-) {
-  def normalized: Req =
-    copy(cc = cc || neighbors || candidates, radii = radii || candidates,
-         groups = groups || regroup)
-
-  /** ‖c_j‖, which the sorted norms and the block bound are built from. */
-  def norms: Boolean = sortedNorms || blocks
-}
+import java.util.concurrent.atomic.AtomicReferenceArray
 
 /** Centroid grouping for Yinyang/Regroup/UniK group pruning.
   *
@@ -41,8 +21,15 @@ final class GroupInfo(
 ) extends Serializable
 
 /** Everything the assignment step needs about this iteration's centroids.
-  * Immutable; broadcast to partitions by the Spark runner. `panel` is not
-  * part of what is broadcast: each JVM builds it from `centroids` once.
+  * `compute` builds on the driver only what needs driver state, and the
+  * Spark runner broadcasts just that: the centroids, their drifts, the
+  * `Grouper`'s groups and the previous step's `maxUb`. Every other field is
+  * derived where a kernel first reads it, in the JVM that reads it, and is
+  * never serialized: a whole array once, a row of `cc`, `neighbors` or
+  * `candidates` once per row. Concurrent first readers of a row may each
+  * build it, with the same bits; all get the row published first. No field
+  * is built with parallel work, so a pool worker reading one never waits on
+  * a thread that waits on the pool.
   */
 final class CentroidInfo(
     val iter: Int, // the driver's 1-based iteration; iter 1 has zero drifts. States
@@ -52,45 +39,103 @@ final class CentroidInfo(
     val maxDrift: Double,
     val maxDriftIdx: Int,
     val maxDrift2: Double,
-    val cc: Array[Array[Double]],
-    val sc: Array[Double],           // ½ · min_{j'≠j} cc(j,j')
-    val nearestOther: Array[Double], // min_{j'≠j} cc(j,j')
-    val neighbors: Array[Array[Int]],
-    val norms: Array[Double],
-    val normSq: Array[Double],
-    val sortedNormIdx: Array[Int],
-    val sortedNormVal: Array[Double],
-    val blockB1: Array[Double],
-    val blockB2: Array[Double],
     val groups: GroupInfo,
-    val radii: Array[Double],
-    val candidates: Array[Array[Int]],
-    @transient private val built: Array[Array[Double]] = null
+    val maxUb: Array[Double] // the previous step's `Partials.maxUb`, or null
 ) extends Serializable {
+  import CentroidInfo._
 
   val k: Int = centroids.length
 
-  /** The centroids' dimension-major panel (`Geometry.panel`), read by every
-    * all-centroid scan. Transient, so never serialized: `compute` hands over
-    * the one it built for `cc`, and a deserialized copy rebuilds it on first
-    * use.
-    */
-  @transient lazy val panel: Array[Array[Double]] =
-    if (built != null) built else Geometry.panel(centroids)
-
   /** Max drift among clusters other than j (for global-bound degradation). */
   def maxDriftOther(j: Int): Double = if (maxDriftIdx == j) maxDrift2 else maxDrift
+
+  /** The centroids' dimension-major panel (`Geometry.panel`), read by every
+    * all-centroid scan and by each `cc` row.
+    */
+  @transient lazy val panel: Array[Array[Double]] = Geometry.panel(centroids)
+
+  @transient private lazy val ccRows = new AtomicReferenceArray[CcRow](k)
+  @transient private lazy val annuliRows = new AtomicReferenceArray[Array[Int]](k)
+  @transient private lazy val candidateRows = new AtomicReferenceArray[Array[Int]](k)
+
+  /** Row a of the centroid distances, in the bits of `Geometry.dist`; as
+    * (a−b)² == (b−a)² exactly, `cc(a)(b)` and `cc(b)(a)` have the same bits.
+    */
+  def cc(a: Int): Array[Double] = ccRow(a).dist
+  def nearestOther(a: Int): Double = ccRow(a).nearestOther // min over b ≠ a of cc(a)(b)
+  def sc(a: Int): Double = nearestOther(a) * 0.5            // s(c_a) [Hamerly, SDM'10]
+
+  /** Exponion annuli of centroid a over `cc(a)` (see `annuli`). */
+  def neighbors(a: Int): Array[Int] = memo(annuliRows, a)(annuli(a, cc(a)))
+
+  /** Pami20's candidates of cluster a (Eq. 4): the centroids b with
+    * ½·cc(a)(b) ≤ `radii(a)`, a included; all of them while the radius is
+    * infinite.
+    */
+  def candidates(a: Int): Array[Int] = memo(candidateRows, a) {
+    val ra = radii(a)
+    if (ra.isInfinity) IndexSort.iota(k)
+    else {
+      val row = cc(a)
+      val buf = new scala.collection.mutable.ArrayBuffer[Int](8)
+      var b = 0
+      while (b < k) {
+        if (b == a || row(b) * 0.5 <= ra) buf += b
+        b += 1
+      }
+      buf.toArray
+    }
+  }
+
+  @transient lazy val norms: Array[Double] = centroids.map(Geometry.norm)
+  @transient lazy val normSq: Array[Double] = norms.map(x => x * x)
+
+  /** Centroid indices by ascending norm (Annular), and those norms. */
+  @transient lazy val sortedNormIdx: Array[Int] = {
+    val idx = IndexSort.iota(k)
+    IndexSort.sort(norms.clone(), idx, 0, k - 1)
+    idx
+  }
+  @transient lazy val sortedNormVal: Array[Double] = sortedNormIdx.map(j => norms(j))
+
+  /** The norms of each centroid's two coordinate blocks (Block-Vector). */
+  @transient lazy val blockB1: Array[Double] = centroids.map(Geometry.blockNorms(_)._1)
+  @transient lazy val blockB2: Array[Double] = centroids.map(Geometry.blockNorms(_)._2)
+
+  /** Per-cluster radius upper bounds (Pami20, Drift): `maxUb` was measured
+    * against the previous centroids, so each is padded by this iteration's
+    * drift to still cover every member point. Infinite until a step has
+    * reported radii.
+    */
+  @transient lazy val radii: Array[Double] =
+    if (maxUb == null) Array.fill(k)(Double.PositiveInfinity)
+    else Array.tabulate(k)(j => maxUb(j) + drifts(j))
+
+  /** Centroid a against the panel, and the row's nearest other centroid. */
+  private def ccRow(a: Int): CcRow = memo(ccRows, a) {
+    val row = new Array[Double](k)
+    Geometry.distSqPanel(centroids(a), panel, k, row)
+    var no = Double.PositiveInfinity
+    var b = 0
+    while (b < k) {
+      row(b) = math.sqrt(row(b))
+      if (b != a && row(b) < no) no = row(b)
+      b += 1
+    }
+    new CcRow(row, no)
+  }
 }
 
 object CentroidInfo {
 
   /** Build this iteration's shared state. `prev` is the centroid matrix the
-    * previous step assigned against (null at iteration 1). `radiiIn` comes
-    * from the previous step's Partials.maxUb (null until available).
+    * previous step assigned against (null at iteration 1). `groups` comes
+    * from the driver's `Grouper` (null for an ungrouped strategy); its
+    * per-group max drifts are filled here. `maxUb` comes from the previous
+    * step's `Partials.maxUb` (null until available).
     */
   def compute(iter: Int, centroids: Array[Array[Double]], prev: Array[Array[Double]],
-              req0: Req, groups: GroupInfo, radiiIn: Array[Double]): CentroidInfo = {
-    val req = req0.normalized
+              groups: GroupInfo, maxUb: Array[Double]): CentroidInfo = {
     val k = centroids.length
 
     val drifts = new Array[Double](k)
@@ -107,85 +152,6 @@ object CentroidInfo {
       j += 1
     }
 
-    // The k×k centroid distances, one full row per task on the common
-    // ForkJoin pool: row a is centroid a against the panel, in the bits of
-    // `Geometry.dist`. As (a−b)² == (b−a)² exactly, cc(a)(b) and cc(b)(a)
-    // have the same bits, so no cell is mirrored. Each task also takes its
-    // row's nearest other centroid and, for Exponion, its annuli.
-    val panel = if (req.cc) Geometry.panel(centroids) else null
-    val cc = if (req.cc) new Array[Array[Double]](k) else null
-    val nearestOther = if (req.cc) new Array[Double](k) else null
-    val neighbors = if (req.neighbors) new Array[Array[Int]](k) else null
-    if (req.cc) {
-      java.util.stream.IntStream.range(0, k).parallel().forEach { a =>
-        val row = new Array[Double](k)
-        Geometry.distSqPanel(centroids(a), panel, k, row)
-        var no = Double.PositiveInfinity
-        var b = 0
-        while (b < k) {
-          row(b) = math.sqrt(row(b))
-          if (b != a && row(b) < no) no = row(b)
-          b += 1
-        }
-        cc(a) = row
-        nearestOther(a) = no
-        if (neighbors != null) neighbors(a) = annuli(a, row)
-      }
-    }
-    val sc = if (req.cc) nearestOther.map(_ * 0.5) else null
-
-    var norms: Array[Double] = null
-    var normSq: Array[Double] = null
-    if (req.norms) {
-      norms = centroids.map(Geometry.norm)
-      normSq = norms.map(x => x * x)
-    }
-    var sortedNormIdx: Array[Int] = null
-    var sortedNormVal: Array[Double] = null
-    if (req.sortedNorms) {
-      sortedNormIdx = IndexSort.iota(k)
-      sortedNormVal = norms.clone()
-      IndexSort.sort(sortedNormVal, sortedNormIdx, 0, k - 1)
-    }
-
-    var blockB1: Array[Double] = null
-    var blockB2: Array[Double] = null
-    if (req.blocks) {
-      blockB1 = new Array[Double](k); blockB2 = new Array[Double](k)
-      var i = 0
-      while (i < k) {
-        val (b1, b2) = Geometry.blockNorms(centroids(i))
-        blockB1(i) = b1; blockB2(i) = b2
-        i += 1
-      }
-    }
-
-    var radii: Array[Double] = null
-    var candidates: Array[Array[Int]] = null
-    if (req.radii) {
-      // Radii were measured against the *previous* centroid positions; pad by
-      // this iteration's drift so they still cover every member point.
-      radii =
-        if (radiiIn == null) Array.fill(k)(Double.PositiveInfinity)
-        else Array.tabulate(k)(j => radiiIn(j) + drifts(j))
-    }
-    if (req.candidates) {
-      // Eq. 4 (Pami20): cluster j's points only need centroids within 2·ra(j).
-      candidates = Array.tabulate(k) { a =>
-        if (radii(a).isInfinity) IndexSort.iota(k)
-        else {
-          val buf = new scala.collection.mutable.ArrayBuffer[Int](8)
-          var b = 0
-          while (b < k) {
-            if (b == a || cc(a)(b) * 0.5 <= radii(a)) buf += b
-            b += 1
-          }
-          buf.toArray
-        }
-      }
-    }
-
-    // Per-group max drift (groups object is rebuilt by the Grouper; fill here).
     if (groups != null) {
       java.util.Arrays.fill(groups.maxDrift, 0.0)
       var c = 0
@@ -196,9 +162,21 @@ object CentroidInfo {
       }
     }
 
-    new CentroidInfo(iter, centroids, drifts, md, mdIdx, md2, cc, sc, nearestOther,
-      neighbors, norms, normSq, sortedNormIdx, sortedNormVal, blockB1, blockB2,
-      groups, radii, candidates, panel)
+    new CentroidInfo(iter, centroids, drifts, md, mdIdx, md2, groups, maxUb)
+  }
+
+  private final class CcRow(val dist: Array[Double], val nearestOther: Double)
+
+  /** Row a of `rows`; the first reader builds it, and of concurrent builds
+    * the one published first is kept.
+    */
+  @inline private def memo[A <: AnyRef](rows: AtomicReferenceArray[A], a: Int)(build: => A): A = {
+    val r = rows.get(a)
+    if (r != null) r
+    else {
+      val row = build
+      if (rows.compareAndSet(a, null.asInstanceOf[A], row)) row else rows.get(a)
+    }
   }
 
   /** Exponion annuli of centroid a [Newling & Fleuret, ICML'16]: a permutation

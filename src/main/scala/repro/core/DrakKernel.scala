@@ -6,7 +6,6 @@ package repro.core
   */
 object DrakKernel extends Strategy {
   val name = "Drak"
-  val req: Req = Req(cc = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new DrakState(points, k)

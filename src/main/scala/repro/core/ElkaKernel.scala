@@ -8,7 +8,6 @@ package repro.core
   */
 object ElkaKernel extends Strategy {
   val name = "Elka"
-  val req: Req = Req(cc = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new ElkaState(points, k, tighterDrift = false)
@@ -23,7 +22,6 @@ object ElkaKernel extends Strategy {
   */
 object DriftKernel extends Strategy {
   val name = "Drift"
-  val req: Req = Req(cc = true, radii = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new ElkaState(points, k, tighterDrift = true)
@@ -49,21 +47,21 @@ abstract class ElkanState(points: Array[Array[Double]], k: Int)
     */
   protected final def seedPoint(i: Int, info: CentroidInfo, b: Block): Int = {
     val cs = info.centroids
-    val cc = info.cc
     val x = points(i)
     val base = i * k
     var best = 0
+    var ccB = info.cc(0)
     var bd = b.cdist(x, cs(0))
     lb(base) = bd
     var j = 1
     while (j < k) {
       // Inter-bound: if ½·cc(best,j) ≥ ub then c_j cannot win; lb via triangle.
-      if (0.5 * cc(best)(j) < bd) {
+      if (0.5 * ccB(j) < bd) {
         val dd = b.cdist(x, cs(j))
         lb(base + j) = dd
-        if (dd < bd) { bd = dd; best = j }
+        if (dd < bd) { bd = dd; best = j; ccB = info.cc(j) }
       } else {
-        lb(base + j) = cc(best)(j) - bd
+        lb(base + j) = ccB(j) - bd
       }
       j += 1
     }
@@ -90,14 +88,12 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
     */
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
-    val cc = info.cc
-    val sc = info.sc
     val drifts = info.drifts
     // Drift variant: δ(j) = min(drift(j), radius(j)) — still an upper bound
     // on how far c_j moved.
     val delta =
       if (!tighterDrift) drifts
-      else Array.tabulate(k)(j => math.min(drifts(j), info.radii(j)))
+      else { val radii = info.radii; Array.tabulate(k)(j => math.min(drifts(j), radii(j))) }
 
     var reads = 0L
     var i = from
@@ -110,8 +106,8 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
       while (j < k) { lb(base + j) -= delta(j); j += 1 }
 
       reads += 1
-      if (u > sc(a)) {
-        var ccA = cc(a)
+      if (u > info.sc(a)) {
+        var ccA = info.cc(a)
         var tight = false
         j = 0
         while (j < k) {
@@ -126,7 +122,7 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
               if (u > lb(base + j) && u > 0.5 * ccA(j)) {
                 val dd = b.cdist(x, cs(j))
                 lb(base + j) = dd
-                if (dd < u) { a = j; u = dd; ccA = cc(a) }
+                if (dd < u) { a = j; u = dd; ccA = info.cc(a) }
               }
             }
           }

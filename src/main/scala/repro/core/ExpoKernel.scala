@@ -3,14 +3,13 @@ package repro.core
 /** Exponion [Newling & Fleuret, ICML'16]: Hamerly's bounds plus, on bound
   * failure, candidates restricted to a ball around the ASSIGNED centroid:
   * ‖c_j − c_a‖ ≤ 2·ub + ‖c_a − c_a's nearest other‖ (Eq. 6), walked via the
-  * driver's per-centroid Exponion annuli (rank-doubling shells, one row per
-  * centroid, built in parallel): the walk skips centroids outside the ball and
-  * stops at the first shell boundary past it, so it computes exactly the
+  * per-centroid Exponion annuli (rank-doubling shells, built for a centroid
+  * when a rescan first reads it): the walk skips centroids outside the ball
+  * and stops at the first shell boundary past it, so it computes exactly the
   * distances a walk over fully sorted neighbour lists would.
   */
 object ExpoKernel extends Strategy {
   val name = "Expo"
-  val req: Req = Req(cc = true, neighbors = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new ExpoState(points, k)

@@ -8,7 +8,7 @@ package repro.core
   */
 object FullKernel extends Strategy {
   val name = "Full"
-  val req: Req = Req(cc = true, blocks = true, groups = true)
+  override val grouping: Grouping = Grouping.Fixed
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new FullState(points, k)
@@ -52,7 +52,6 @@ final class FullState(points: Array[Array[Double]], k: Int)
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val gi = info.groups
     val cs = info.centroids
-    val cc = info.cc
     val m = b.m
     var i = from
     while (i < until) {
@@ -67,6 +66,7 @@ final class FullState(points: Array[Array[Double]], k: Int)
       val globalLb = GroupScan.drift(glb, gbase, gi, m)
       m.boundAccess += 1
       if (globalLb < ub(i) && ub(i) > info.sc(a)) {
+        var ccA = info.cc(a)
         var tight = false
         var g = 0
         while (g < t) {
@@ -78,16 +78,16 @@ final class FullState(points: Array[Array[Double]], k: Int)
               val j2 = mem(z)
               if (j2 != a) {
                 m.boundAccess += 2
-                if (ub(i) > lb(base + j2) && ub(i) > 0.5 * cc(a)(j2)) {
+                if (ub(i) > lb(base + j2) && ub(i) > 0.5 * ccA(j2)) {
                   if (!tight) { ub(i) = b.cdist(x, cs(a)); lb(base + a) = ub(i); tight = true }
-                  if (ub(i) > lb(base + j2) && ub(i) > 0.5 * cc(a)(j2)) {
+                  if (ub(i) > lb(base + j2) && ub(i) > 0.5 * ccA(j2)) {
                     // block-vector prefilter before the exact distance
                     val bv = xNorms.lb(i, info, j2)
                     m.boundAccess += 1
                     if (bv < ub(i)) {
                       val dd = b.cdist(x, cs(j2))
                       lb(base + j2) = dd; m.boundUpdate += 1
-                      if (dd < ub(i)) { a = j2; ub(i) = dd }
+                      if (dd < ub(i)) { a = j2; ub(i) = dd; ccA = info.cc(a) }
                     } else if (bv > lb(base + j2)) {
                       lb(base + j2) = bv; m.boundUpdate += 1
                     }

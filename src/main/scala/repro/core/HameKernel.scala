@@ -6,7 +6,6 @@ package repro.core
   */
 object HameKernel extends Strategy {
   val name = "Hame"
-  val req: Req = Req(cc = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new HameState(points, k)

@@ -8,7 +8,6 @@ package repro.core
   */
 object HeapKernel extends Strategy {
   val name = "Heap"
-  val req: Req = Req()
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new HeapState(points, k)

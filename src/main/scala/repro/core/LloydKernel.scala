@@ -5,7 +5,6 @@ package repro.core
   */
 object LloydKernel extends Strategy {
   val name = "Lloyd"
-  val req: Req = Req()
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new LloydState(points, k)

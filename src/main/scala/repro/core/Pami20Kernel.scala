@@ -3,11 +3,11 @@ package repro.core
 /** Pami20 [Xia et al., TPAMI'20]: no per-point bounds at all. Each cluster
   * keeps its radius ra (max member distance); a point in cluster a only has
   * to check the candidate centroids N_a = { j : ‖c_j − c_a‖/2 ≤ ra } (Eq. 4)
-  * — candidate sets are built once per iteration on the driver.
+  * — cluster a's candidate set is built once per iteration, on its first read
+  * (`CentroidInfo.candidates`).
   */
 object Pami20Kernel extends Strategy {
   val name = "Pami20"
-  val req: Req = Req(candidates = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new Pami20State(points, k)

@@ -11,7 +11,7 @@ package repro.core
 final class Partials(
     val sums: Array[Array[Double]],
     val counts: Array[Long],
-    val maxUb: Array[Double], // null unless the strategy requested radii
+    val maxUb: Array[Double], // null unless the strategy reports radii (Pami20, Drift)
     val moved: Long,
     val n: Long,
     val metrics: Metrics,     // cumulative snapshot for this partition

@@ -33,10 +33,12 @@ final case class FitResult(
 }
 
 /** The k-means driver: the one iteration loop every execution path runs.
-  * Each iteration computes the centroid-side `CentroidInfo` (drifts, groups,
-  * radii, ...), hands it to a step that runs assignment and refinement over
-  * all partition states and returns their merged `Partials`, and turns the
-  * merged sums into the next centroids, until no point moves or `maxIters`.
+  * Each iteration computes the centroid-side `CentroidInfo` (drifts, the
+  * groups of the strategy's `grouping`, the previous step's radii; the rest
+  * is built where a kernel reads it), hands it to a step that runs
+  * assignment and refinement over all partition states and returns their
+  * merged `Partials`, and turns the merged sums into the next centroids,
+  * until no point moves or `maxIters`.
   * `fitLocal` steps one in-memory partition on one thread (`Blocks.oneThread`),
   * the paper's setting: the timed benches and UTune's ground truth compare
   * algorithms, not how well each one's assignment spreads over cores (Heap,
@@ -82,9 +84,9 @@ object Runner {
           k: Int, init: Array[Array[Double]], maxIters: Int,
           seed: Long): FitResult = {
     requireInit(init, k)
-    val req = strategy.req.normalized
 
-    val grouper = if (req.groups) new Grouper(seed ^ 0x9e3779b97f4a7c15L) else null
+    val grouper =
+      if (strategy.grouping == Grouping.Ungrouped) null else new Grouper(seed ^ 0x9e3779b97f4a7c15L)
     var centroids = Geometry.copy2(init)
     var prev: Array[Array[Double]] = null
     var radii: Array[Double] = null
@@ -100,8 +102,9 @@ object Runner {
     val t0 = System.nanoTime()
     var t = 1
     while (t <= maxIters && !converged) {
-      val gi = if (grouper != null) grouper.update(centroids, t, req.regroup) else null
-      val info = CentroidInfo.compute(t, centroids, prev, req, gi, radii)
+      val gi =
+        if (grouper != null) grouper.update(centroids, t, strategy.grouping == Grouping.Regrouped) else null
+      val info = CentroidInfo.compute(t, centroids, prev, gi, radii)
       val p = step(info)
       assignNs += p.assignNanos; refineNs += p.refineNanos; moved += p.moved
       metrics = p.metrics

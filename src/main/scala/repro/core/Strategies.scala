@@ -21,8 +21,8 @@ object Strategies {
   /** The five high-rank sequential methods (Fig. 12) — UTune's selection pool. */
   val pool: Seq[Strategy] = Seq(HameKernel, DrakKernel, HeapKernel, YinyangKernel, RegroupKernel)
 
-  val index: Strategy = BallKMeansStrategy.default        // "INDE" (Ball-tree)
-  val unik: Strategy = UniKStrategy.default               // adaptive
+  val index: Strategy = new BallKMeansStrategy()          // "INDE" (Ball-tree)
+  val unik: Strategy = new UniKStrategy(UniKMode.Adaptive) // adaptive
   val unikSingle: Strategy = new UniKStrategy(UniKMode.Single)
   val unikMultiple: Strategy = new UniKStrategy(UniKMode.Multiple)
   val full: Strategy = FullKernel

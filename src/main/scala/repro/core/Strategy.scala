@@ -17,11 +17,24 @@ trait PartitionState extends Serializable {
   def assignments: Array[Int]
 }
 
-/** Factory for per-partition states; the only thing shipped to executors. */
+/** Factory for per-partition states; the only thing shipped to executors.
+  * `CentroidInfo` builds what its kernel reads on first read; the strategy
+  * declares only its `grouping`.
+  */
 trait Strategy extends Serializable {
   def name: String
-  def req: Req
+  def grouping: Grouping = Grouping.Ungrouped
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState
+}
+
+/** Whether the driver groups the centroids for a strategy (Yinyang's groups,
+  * `GroupInfo`): not at all, once and then kept, or anew every iteration.
+  */
+sealed trait Grouping
+object Grouping {
+  case object Ungrouped extends Grouping
+  case object Fixed extends Grouping
+  case object Regrouped extends Grouping
 }
 
 /** What every partition state holds: its points (checked on construction),

@@ -8,7 +8,6 @@ package repro.core
   */
 object VectorKernel extends Strategy {
   val name = "Vector"
-  val req: Req = Req(cc = true, blocks = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new VectorState(points, k)

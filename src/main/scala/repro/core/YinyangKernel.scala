@@ -6,12 +6,13 @@ package repro.core
   * Groups are fixed after the first iteration.
   *
   * Regroup [Kwedlo, ICAISC'17] refreshes the grouping every iteration
-  * (`req.regroup`); per-point group bounds are remapped conservatively via
-  * the old→new group overlap supplied by the driver-side `Grouper`.
+  * (`Grouping.Regrouped`); per-point group bounds are remapped
+  * conservatively via the old→new group overlap supplied by the driver-side
+  * `Grouper`.
   */
 object YinyangKernel extends Strategy {
   val name = "Yinyang"
-  val req: Req = Req(groups = true)
+  override val grouping: Grouping = Grouping.Fixed
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new YinyangState(points, k)
@@ -19,7 +20,7 @@ object YinyangKernel extends Strategy {
 
 object RegroupKernel extends Strategy {
   val name = "Regroup"
-  val req: Req = Req(groups = true, regroup = true)
+  override val grouping: Grouping = Grouping.Regrouped
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new YinyangState(points, k)

@@ -11,14 +11,9 @@ import repro.core._
   */
 final class BallKMeansStrategy(kind: BallTree.Kind = BallTree.Ball) extends Strategy {
   val name: String = if (kind == BallTree.Ball) "Index" else s"Index-${kind.label}"
-  val req: Req = Req()
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new BallKMeansState(points, k, kind, seed)
-}
-
-object BallKMeansStrategy {
-  val default = new BallKMeansStrategy()
 }
 
 final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree.Kind, seed: Long)

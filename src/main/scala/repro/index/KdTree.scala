@@ -85,7 +85,6 @@ object KdTree {
   */
 object KdKMeans extends Strategy {
   val name = "KdTree"
-  val req: Req = Req()
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new KdKMeansState(points, k)

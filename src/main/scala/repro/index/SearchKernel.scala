@@ -12,7 +12,6 @@ import repro.core._
   */
 object SearchKernel extends Strategy {
   val name = "Search"
-  val req: Req = Req(cc = true)
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new SearchState(points, k, seed)

@@ -3,7 +3,6 @@ package repro.tune
 import repro.core._
 import repro.data.{DatasetSpec, Datasets}
 import repro.index.BallTree
-import repro.unik.{UniKMode, UniKStrategy}
 
 /** One evaluation record = one clustering task (dataset variant × k) with
   * its meta-features and the measured time of every configuration that was
@@ -51,54 +50,47 @@ object EvalHarness {
     }
   }
 
-  def run(strategy: Strategy, pts: Array[Array[Double]], k: Int,
-          init: Array[Array[Double]], tmax: Int): FitResult =
-    Runner.fitLocal(strategy, pts, k, init, maxIters = tmax)
-
   /** Selective running (Algorithm 2): pool methods at a reduced t_max, the
     * index methods only when the pure index beats the best sequential.
     */
   def runSelective(spec: DatasetSpec, frac: Double, dKeep: Int, k: Int,
-                   tmax: Int = 5, seed: Long = 11L): EvalRecord = {
-    warm
-    val pts = Datasets.generate(spec, frac, dKeep, seed = seed)
-    val init = Init.kmeansPlusPlus(pts, k, seed ^ k)
-    val tree = BallTree.build(pts)
-    val features = Features.extract(pts.length, k, if (pts.isEmpty) 0 else pts(0).length, tree)
-
-    val seqTimes = Strategies.pool.map(s => s.name -> run(s, pts, k, init, tmax).totalSeconds).toMap
-    val mo = seqTimes.values.min
-
-    val pureT = run(Strategies.index, pts, k, init, tmax).totalSeconds
-    val indexTimes = scala.collection.mutable.Map[Int, Double](1 -> mo, 2 -> pureT)
-    if (pureT < mo) {
-      indexTimes(3) = run(new UniKStrategy(UniKMode.Single), pts, k, init, tmax).totalSeconds
-      indexTimes(4) = run(new UniKStrategy(UniKMode.Multiple), pts, k, init, tmax).totalSeconds
+                   tmax: Int = 5, seed: Long = 11L): EvalRecord =
+    evaluate(spec, frac, dKeep, k, tmax, seed) { seconds =>
+      val seqTimes = Strategies.pool.map(s => s.name -> seconds(s)).toMap
+      val mo = seqTimes.values.min
+      val pureT = seconds(Strategies.index)
+      val unikTimes =
+        if (pureT < mo) Map(3 -> seconds(Strategies.unikSingle), 4 -> seconds(Strategies.unikMultiple))
+        else Map.empty[Int, Double]
+      (seqTimes, Map(1 -> mo, 2 -> pureT) ++ unikTimes)
     }
-    EvalRecord(spec.name, spec.holdout, pts.length, pts(0).length, k, features,
-      seqTimes, indexTimes.toMap)
-  }
 
   /** Full running: every sequential method (plus Lloyd for speedup context)
     * and all four index configurations.
     */
   def runFull(spec: DatasetSpec, frac: Double, dKeep: Int, k: Int,
-              tmax: Int = 5, seed: Long = 11L): EvalRecord = {
+              tmax: Int = 5, seed: Long = 11L): EvalRecord =
+    evaluate(spec, frac, dKeep, k, tmax, seed) { seconds =>
+      val seqTimes = (Strategies.lloyd +: Strategies.sequential :+ Strategies.full)
+        .map(s => s.name -> seconds(s)).toMap
+      (seqTimes, Map(
+        1 -> poolNames.map(seqTimes).min,
+        2 -> seconds(Strategies.index),
+        3 -> seconds(Strategies.unikSingle),
+        4 -> seconds(Strategies.unikMultiple)))
+    }
+
+  /** One task's record: its points, k-means++ init and meta-features, and
+    * the sequential and index times `times` measures with `seconds`, the
+    * time of a one-thread `Runner.fitLocal` at `tmax`.
+    */
+  private def evaluate(spec: DatasetSpec, frac: Double, dKeep: Int, k: Int, tmax: Int, seed: Long)(
+      times: (Strategy => Double) => (Map[String, Double], Map[Int, Double])): EvalRecord = {
     warm
     val pts = Datasets.generate(spec, frac, dKeep, seed = seed)
     val init = Init.kmeansPlusPlus(pts, k, seed ^ k)
-    val tree = BallTree.build(pts)
-    val features = Features.extract(pts.length, k, if (pts.isEmpty) 0 else pts(0).length, tree)
-
-    val seqTimes = (Strategies.lloyd +: Strategies.sequential :+ Strategies.full)
-      .map(s => s.name -> run(s, pts, k, init, tmax).totalSeconds).toMap
-    val mo = poolNames.map(seqTimes).min
-    val indexTimes = Map(
-      1 -> mo,
-      2 -> run(Strategies.index, pts, k, init, tmax).totalSeconds,
-      3 -> run(new UniKStrategy(UniKMode.Single), pts, k, init, tmax).totalSeconds,
-      4 -> run(new UniKStrategy(UniKMode.Multiple), pts, k, init, tmax).totalSeconds)
-    EvalRecord(spec.name, spec.holdout, pts.length, pts(0).length, k, features,
-      seqTimes, indexTimes)
+    val features = Features.extract(pts.length, k, if (pts.isEmpty) 0 else pts(0).length, BallTree.build(pts))
+    val (seqTimes, indexTimes) = times(s => Runner.fitLocal(s, pts, k, init, maxIters = tmax).totalSeconds)
+    EvalRecord(spec.name, spec.holdout, pts.length, pts(0).length, k, features, seqTimes, indexTimes)
   }
 }

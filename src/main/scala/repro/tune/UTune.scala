@@ -1,7 +1,6 @@
 package repro.tune
 
 import repro.core.{Strategies, Strategy}
-import repro.unik.{UniKMode, UniKStrategy}
 
 /** UTune (Section 6): learn, from evaluation records, (a) the best bound
   * configuration among the five pool methods and (b) the best index
@@ -44,10 +43,7 @@ object UTune {
 
   /** 70/30 split, train each model, report MRR + timings (Tables 5 and 7). */
   def evaluateModels(task: TaskData, seed: Long = 23L): Seq[ModelScore] = {
-    val rnd = new scala.util.Random(seed)
-    val idx = rnd.shuffle(task.x.indices.toList)
-    val cut = math.max(1, (idx.length * 0.7).toInt)
-    val (trainI, testI) = idx.splitAt(cut)
+    val (trainI, testI) = split(task, seed)
     val xt = trainI.map(task.x).toArray; val yt = trainI.map(task.y).toArray
     Models.fresh().map { model =>
       val t0 = System.nanoTime()
@@ -77,11 +73,14 @@ object UTune {
   })
 
   def evaluateBdt(task: TaskData, bdt: Model, seed: Long = 23L): Double = {
-    val rnd = new scala.util.Random(seed)
-    val idx = rnd.shuffle(task.x.indices.toList)
-    val cut = math.max(1, (idx.length * 0.7).toInt)
-    val testI = idx.drop(cut)
+    val testI = split(task, seed)._2
     mrr(testI.map(i => bdt.predict(task.x(i))), testI.map(task.ranks))
+  }
+
+  /** The seeded 70/30 split of a task's rows: (train, test) row indices. */
+  private def split(task: TaskData, seed: Long): (List[Int], List[Int]) = {
+    val idx = new scala.util.Random(seed).shuffle(task.x.indices.toList)
+    idx.splitAt(math.max(1, (idx.length * 0.7).toInt))
   }
 
   /** Train DT (the deployed model, Section 7.3.2) on `records` and predict a
@@ -101,8 +100,8 @@ object UTune {
     indexLabel match {
       case 1 => Strategies(bound)
       case 2 => Strategies.index
-      case 3 => new UniKStrategy(UniKMode.Single)
-      case 4 => new UniKStrategy(UniKMode.Multiple)
+      case 3 => Strategies.unikSingle
+      case 4 => Strategies.unikMultiple
     }
   }
 }

@@ -35,14 +35,10 @@ final class UniKStrategy(mode: UniKMode = UniKMode.Adaptive) extends Strategy {
     case UniKMode.Single   => "UniK-single"
     case UniKMode.Multiple => "UniK-multiple"
   }
-  val req: Req = Req(groups = true)
+  override val grouping: Grouping = Grouping.Fixed
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
     new UniKState(points, k, mode, seed)
-}
-
-object UniKStrategy {
-  val default = new UniKStrategy()
 }
 
 /** One partition's UniK state. It counts its own steps: the first is a root

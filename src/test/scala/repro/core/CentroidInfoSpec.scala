@@ -2,20 +2,17 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-/** The driver-side shared structures every kernel's correctness rests on. */
+/** The centroid-side shared structures every kernel's correctness rests on. */
 class CentroidInfoSpec extends AnyFunSuite {
 
   private val cs = TestData.mixture(40, 3, 8, 0.05, 101L)
   private val prev = cs.map(_.map(_ - 0.01))
 
-  private def info(req: Req, p: Array[Array[Double]] = prev,
-                   radii: Array[Double] = null): CentroidInfo = {
-    val gi = if (req.normalized.groups) new Grouper(1L).update(cs, 1, regroup = false) else null
-    CentroidInfo.compute(2, cs, p, req, gi, radii)
-  }
+  private def info(radii: Array[Double] = null): CentroidInfo =
+    CentroidInfo.compute(2, cs, prev, null, radii)
 
   test("cc matrix is symmetric with zero diagonal; sc is half the min-other") {
-    val i = info(Req(cc = true))
+    val i = info()
     for (a <- cs.indices; b <- cs.indices) {
       assert(math.abs(i.cc(a)(b) - i.cc(b)(a)) < 1e-12)
       if (a == b) assert(i.cc(a)(b) == 0.0)
@@ -28,7 +25,7 @@ class CentroidInfoSpec extends AnyFunSuite {
   }
 
   test("drifts are exact distances to the previous centroids; top-2 tracked") {
-    val i = info(Req())
+    val i = info()
     cs.indices.foreach(j => assert(math.abs(i.drifts(j) - Geometry.dist(cs(j), prev(j))) < 1e-12))
     assert(i.maxDrift == i.drifts.max)
     val second = i.drifts.sorted.reverse(1)
@@ -40,7 +37,7 @@ class CentroidInfoSpec extends AnyFunSuite {
   }
 
   test("iteration 1 has zero drifts") {
-    val i = CentroidInfo.compute(1, cs, null, Req(cc = true), null, null)
+    val i = CentroidInfo.compute(1, cs, null, null, null)
     assert(i.drifts.forall(_ == 0.0))
     assert(i.maxDrift == 0.0)
   }
@@ -48,7 +45,7 @@ class CentroidInfoSpec extends AnyFunSuite {
   // Annuli leave each rank shell [2^s, 2^(s+1)) unsorted inside, so the list is
   // sorted by centroid distance once every shell is sorted on its own.
   test("neighbors lists start with self and are sorted by centroid distance") {
-    val i = info(Req(neighbors = true))
+    val i = info()
     cs.indices.foreach { a =>
       val nb = i.neighbors(a)
       assert(nb(0) == a)
@@ -67,7 +64,7 @@ class CentroidInfoSpec extends AnyFunSuite {
     test(s"neighbors are Exponion annuli: self first, then ordered rank-doubling shells (k=$k)") {
       val base = TestData.mixture(k, 3, 6, 0.05, 200L + k)
       val cents = Array.tabulate(k)(j => if (j % 3 == 1) base(j - 1).clone else base(j))
-      val i = CentroidInfo.compute(1, cents, null, Req(neighbors = true), null, null)
+      val i = CentroidInfo.compute(1, cents, null, null, null)
       for (a <- 0 until k) {
         val nb = i.neighbors(a)
         assert(nb.sorted.toSeq == (0 until k), s"row $a is not a permutation")
@@ -93,7 +90,7 @@ class CentroidInfoSpec extends AnyFunSuite {
       cc(a)(b) = d; cc(b)(a) = d
       no(a) = math.min(no(a), d); no(b) = math.min(no(b), d)
     }
-    val i = CentroidInfo.compute(1, cents, null, Req(cc = true), null, null)
+    val i = CentroidInfo.compute(1, cents, null, null, null)
     for (a <- 0 until k) {
       assert(i.nearestOther(a) == no(a), s"nearestOther($a)")
       for (b <- 0 until k) assert(i.cc(a)(b) == cc(a)(b), s"cc($a)($b)")
@@ -113,7 +110,7 @@ class CentroidInfoSpec extends AnyFunSuite {
         no(a) = math.min(no(a), d); no(b) = math.min(no(b), d)
       }
       def bits(v: Double) = java.lang.Double.doubleToRawLongBits(v)
-      val i = CentroidInfo.compute(1, cents, null, Req(neighbors = true), null, null)
+      val i = CentroidInfo.compute(1, cents, null, null, null)
       for (a <- 0 until k) {
         assert(bits(i.nearestOther(a)) == bits(no(a)), s"nearestOther($a)")
         assert(bits(i.sc(a)) == bits(no(a) * 0.5), s"sc($a)")
@@ -138,17 +135,19 @@ class CentroidInfoSpec extends AnyFunSuite {
     val transients = classOf[CentroidInfo].getDeclaredFields.toSeq
       .filter(f => java.lang.reflect.Modifier.isTransient(f.getModifiers))
     transients.foreach(_.setAccessible(true))
-    for (req <- Seq(Req(), Req(cc = true))) {
-      val i = CentroidInfo.compute(2, cents, cents.map(_.map(_ - 0.01)), req, null, null)
+    // The panel is built on its own, or first by a `cc` row that reads it.
+    for (via <- Seq("panel", "cc row")) {
+      val i = CentroidInfo.compute(2, cents, cents.map(_.map(_ - 0.01)), null, null)
       val (untouched, _) = javaRoundTrip(i)
+      if (via == "cc row") i.cc(0)
       val panel = i.panel
-      assert(transients.exists(f => f.get(i) eq panel), s"$req: the panel is not in a transient field")
+      assert(transients.exists(f => f.get(i) eq panel), s"$via: the panel is not in a transient field")
       val (bytes, copy0) = javaRoundTrip(i)
       val copy = copy0.asInstanceOf[CentroidInfo]
-      assert(bytes.sameElements(untouched), s"$req: building the panel changed the serialized bytes")
+      assert(bytes.sameElements(untouched), s"$via: building the panel changed the serialized bytes")
       for (f <- transients) {
         val v = f.get(copy)
-        assert(v == null || v == false || v == 0.toByte, s"$req: transient ${f.getName} came through as $v")
+        assert(v == null || v == false || v == 0.toByte, s"$via: transient ${f.getName} came through as $v")
       }
       assert(!(copy.panel eq panel))
       assert(copy.panel.length == panel.length)
@@ -170,7 +169,7 @@ class CentroidInfoSpec extends AnyFunSuite {
   }
 
   test("sorted norms are consistent with the norm array") {
-    val i = info(Req(sortedNorms = true))
+    val i = info()
     assert(i.sortedNormVal.toSeq == i.sortedNormVal.sorted.toSeq)
     i.sortedNormIdx.zip(i.sortedNormVal).foreach { case (j, v) =>
       assert(math.abs(i.norms(j) - v) < 1e-12)
@@ -179,7 +178,7 @@ class CentroidInfoSpec extends AnyFunSuite {
 
   test("Pami20 candidate sets always contain the own cluster and respect Eq. 4") {
     val radii = Array.fill(cs.length)(0.05)
-    val i = info(Req(candidates = true), radii = radii)
+    val i = info(radii = radii)
     cs.indices.foreach { a =>
       assert(i.candidates(a).contains(a))
       cs.indices.filter(_ != a).foreach { b =>
@@ -191,23 +190,103 @@ class CentroidInfoSpec extends AnyFunSuite {
   }
 
   test("infinite radii (first refinement) keep every candidate") {
-    val i = info(Req(candidates = true), radii = null)
+    val i = info(radii = null)
     cs.indices.foreach(a => assert(i.candidates(a).length == cs.length))
   }
 
   test("block norms recompose the full norm") {
-    val i = info(Req(blocks = true))
+    val i = info()
     cs.indices.foreach { j =>
       val n = math.sqrt(i.blockB1(j) * i.blockB1(j) + i.blockB2(j) * i.blockB2(j))
       assert(math.abs(n - i.norms(j)) < 1e-9)
     }
   }
 
-  test("Req.normalized closes over implied requirements") {
-    assert(Req(candidates = true).normalized.cc)
-    assert(Req(candidates = true).normalized.radii)
-    assert(Req(regroup = true).normalized.groups)
-    assert(Req(blocks = true).normalized.norms)
-    assert(Req(sortedNorms = true).normalized.norms)
+  /** Every field an info derives on read: for each row a its `cc`,
+    * `nearestOther`, `sc`, `neighbors` and `candidates`, then the eight
+    * whole arrays. `read(i, item)` reads one of them.
+    */
+  private def derived(k: Int): Int = 5 * k + 8
+  private def read(i: CentroidInfo, item: Int): AnyRef =
+    if (item < 5 * i.k) {
+      val a = item / 5
+      item % 5 match {
+        case 0 => i.cc(a)
+        case 1 => Double.box(i.nearestOther(a))
+        case 2 => Double.box(i.sc(a))
+        case 3 => i.neighbors(a)
+        case _ => i.candidates(a)
+      }
+    } else (item - 5 * i.k) match {
+      case 0 => i.panel
+      case 1 => i.norms
+      case 2 => i.normSq
+      case 3 => i.sortedNormIdx
+      case 4 => i.sortedNormVal
+      case 5 => i.blockB1
+      case 6 => i.blockB2
+      case _ => i.radii
+    }
+
+  private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
+  private def sameBits(x: AnyRef, y: AnyRef): Boolean = (x, y) match {
+    case (p: Array[Array[Double]], q: Array[Array[Double]]) =>
+      p.length == q.length && p.indices.forall(r => sameBits(p(r), q(r)))
+    case (p: Array[Double], q: Array[Double]) => p.map(bits).sameElements(q.map(bits))
+    case (p: Array[Int], q: Array[Int]) => p.sameElements(q)
+    case (p: java.lang.Double, q: java.lang.Double) => bits(p) == bits(q)
+    case _ => false
+  }
+
+  /** An info at iteration 2 whose radii are a Pami20 step's `maxUb`. */
+  private def pami20Info(k: Int, seed: Long): CentroidInfo = {
+    val pts = TestData.mixture(4 * k, 57, 20, 0.05, seed)
+    val c1 = pts.take(k).map(_.clone)
+    val state = Pami20Kernel.newState(pts, k, 0L)
+    val p = Blocks.oneThread(state.step(CentroidInfo.compute(1, c1, null, null, null)))
+    val c2 = Array.tabulate(k)(j => if (p.counts(j) == 0) c1(j) else p.sums(j).map(_ / p.counts(j)))
+    CentroidInfo.compute(2, c2, c1, null, p.maxUb)
+  }
+
+  test("concurrent first reads of every derived field give one-thread bits and one object per row") {
+    val k = 300
+    val ref = pami20Info(k, 306L)
+    val want = (0 until derived(k)).map(read(ref, _))
+    assert((0 until k).exists(a => ref.candidates(a).length < k), "no candidate set is cut by Eq. 4")
+    val shared = pami20Info(k, 306L)
+    val tasks = (0 until 16).map { t =>
+      java.util.concurrent.ForkJoinPool.commonPool.submit(new java.util.concurrent.Callable[Map[Int, AnyRef]] {
+        def call(): Map[Int, AnyRef] =
+          new scala.util.Random(t).shuffle((0 until derived(k)).toVector).map(j => j -> read(shared, j)).toMap
+      })
+    }
+    val got = tasks.map(_.get)
+    for (item <- 0 until derived(k); g <- got) {
+      assert(sameBits(g(item), want(item)), s"item $item differs from the one-thread read")
+      if (!g(item).isInstanceOf[java.lang.Double]) assert(g(item) eq got.head(item), s"item $item is two objects")
+    }
+  }
+
+  test("reading every derived field leaves the serialized bytes unchanged; a copy rebuilds each with the same bits") {
+    val i = pami20Info(40, 307L)
+    val (untouched, _) = javaRoundTrip(i)
+    val values = (0 until derived(i.k)).map(read(i, _))
+    val (bytes, copy0) = javaRoundTrip(i)
+    assert(bytes.sameElements(untouched), "reading the derived fields changed the serialized bytes")
+    val copy = copy0.asInstanceOf[CentroidInfo]
+    for (item <- values.indices) {
+      val v = read(copy, item)
+      assert(sameBits(v, values(item)), s"item $item is rebuilt with other bits")
+      if (!v.isInstanceOf[java.lang.Double]) assert(!(v eq values(item)), s"item $item was serialized")
+    }
+  }
+
+  test("an info at k = 1000, d = 57 serializes to under 1 MB with every derived field read") {
+    val prevC = TestData.mixture(1000, 57, 20, 0.05, 308L)
+    val gi = new Grouper(1L).update(prevC, 1, regroup = false)
+    val i = CentroidInfo.compute(2, prevC.map(_.map(_ + 0.001)), prevC, gi, Array.fill(1000)(0.1))
+    (0 until derived(i.k)).foreach(read(i, _))
+    val (bytes, _) = javaRoundTrip(i)
+    assert(bytes.length < (1 << 20), s"${bytes.length} bytes")
   }
 }

@@ -111,10 +111,10 @@ class ExactnessSpec extends AnyFunSuite {
     val c1 = Array(Array(10.0), Array(5.0), Array(1.0))
     val c2 = Array(Array(-0.5), Array(5.0), Array(3.0))
     val state = ElkaKernel.newState(pts, 3, 0L)
-    val seeded = state.step(CentroidInfo.compute(1, c1, null, ElkaKernel.req, null, null)).metrics
+    val seeded = state.step(CentroidInfo.compute(1, c1, null, null, null)).metrics
     assert(state.assignments.toSeq == Seq(2, 1, 0))
     assert((seeded.dist, seeded.boundAccess, seeded.boundUpdate) == ((6L, 0L, 6L)))
-    val m = state.step(CentroidInfo.compute(2, c2, c1, ElkaKernel.req, null, null)).metrics
+    val m = state.step(CentroidInfo.compute(2, c2, c1, null, null)).metrics
     assert(state.assignments.toSeq == Seq(0, 1, 1))
     assert((m.dist, m.boundAccess, m.boundUpdate) == ((10L, 8L, 18L)))
   }
@@ -294,7 +294,6 @@ class ExactnessSpec extends AnyFunSuite {
       Blocks.map(n, 8) { (_, _) => seen.add(Thread.currentThread); Thread.sleep(2) }
     val probe = new Strategy {
       val name = "probe"
-      val req = Req()
       def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState = {
         val inner = LloydKernel.newState(points, k, seed)
         new PartitionState {

@@ -51,7 +51,7 @@ class GrouperSpec extends AnyFunSuite {
     val g = new Grouper(1L)
     val gi = g.update(centroids, 1, regroup = false)
     val moved = centroids.map(_.map(_ + 0.05))
-    CentroidInfo.compute(2, moved, centroids, Req(groups = true), gi, null)
+    CentroidInfo.compute(2, moved, centroids, gi, null)
     assert(gi.maxDrift.forall(_ > 0.0))
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.unik.UniKStrategy
 
 /** The counter semantics behind Table 3 / Figures 10–11. */
 class MetricsSpec extends AnyFunSuite {
@@ -41,7 +40,7 @@ class MetricsSpec extends AnyFunSuite {
   }
 
   test("UniK reads fewer point vectors than Yinyang (batch pruning, Table 3)") {
-    val res = Runner.fitLocal(UniKStrategy.default, pts, k, init, maxIters = 5)
+    val res = Runner.fitLocal(Strategies.unik, pts, k, init, maxIters = 5)
     val yy = Runner.fitLocal(YinyangKernel, pts, k, init, maxIters = 5)
     assert(res.metrics.pointAccess < yy.metrics.pointAccess,
       s"UniK ${res.metrics.pointAccess} vs Yinyang ${yy.metrics.pointAccess}")

@@ -73,7 +73,7 @@ object RecomputeSpec {
     */
   final class Recomputed(inner: Strategy, victimSeed: Long) extends Strategy {
     val name: String = inner.name
-    val req: Req = inner.req
+    override def grouping: Grouping = inner.grouping
 
     def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
       if (seed != victimSeed) inner.newState(points, k, seed)

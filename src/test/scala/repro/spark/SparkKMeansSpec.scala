@@ -228,8 +228,7 @@ class SparkKMeansSpec extends SparkSpec {
     val sc = spark.sparkContext
     val parts = 3
     val states = SparkKMeans.cachedStates(sc.parallelize(pts.toSeq, parts), YinyangKernel, k, 17L)
-    val req = YinyangKernel.req.normalized
-    val info = CentroidInfo.compute(1, init, null, req, new Grouper(5L).update(init, 1, req.regroup), null)
+    val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false), null)
     val b = sc.broadcast(info)
     try {
       def step(): Array[Partials] = sc.runJob(states, SparkKMeans.stepTask(b), states.partitions.indices)
@@ -273,8 +272,7 @@ class SparkKMeansSpec extends SparkSpec {
   }
 
   test("the step task survives Java serialization and gives the same Partials bits") {
-    val req = YinyangKernel.req.normalized
-    val info = CentroidInfo.compute(1, init, null, req, new Grouper(5L).update(init, 1, req.regroup), null)
+    val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false), null)
     val b = spark.sparkContext.broadcast(info)
     try {
       val task = SparkKMeans.stepTask(b)
@@ -339,7 +337,7 @@ object SparkKMeansSpec {
     */
   final class SseOrderProbe(inner: Strategy, fitSeed: Long) extends Strategy {
     val name: String = inner.name
-    val req: Req = inner.req
+    override def grouping: Grouping = inner.grouping
 
     def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState = {
       val state = inner.newState(points, k, seed)
@@ -362,7 +360,6 @@ object SparkKMeansSpec {
   /** Lloyd whose step fails from iteration 3 on. */
   object FailingKernel extends Strategy {
     val name = "Failing"
-    val req: Req = Req()
 
     def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState = {
       val lloyd = LloydKernel.newState(points, k, seed)
