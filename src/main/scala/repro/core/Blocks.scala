@@ -38,9 +38,6 @@ object Blocks {
     out
   }
 
-  /** `map` over `count(n)` blocks, for work whose results need no merging. */
-  def foreach(n: Int)(f: (Int, Int) => Unit): Unit = map(n, count(n))(f)
-
   /** The one worker `oneThread` runs on. */
   private lazy val single = new ForkJoinPool(1)
 

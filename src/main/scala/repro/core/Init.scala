@@ -22,7 +22,7 @@ object Init {
     val minSq = Array.fill(n)(Double.PositiveInfinity)
     while (centers.size < math.min(k, n)) {
       val last = centers.last
-      Blocks.foreach(n) { (from, until) =>
+      Blocks.map(n, Blocks.count(n)) { (from, until) =>
         // Four points against the new centre per pass: distSq4 with the
         // roles swapped gives the bits of distSq(points(i), last).
         val d4 = new Array[Double](4)

@@ -41,12 +41,14 @@ object Grouping {
   * their current assignment, from which `finalSse` and `assignments` are
   * read, the state's counters and its per-cluster sum vectors and counts.
   *
-  * `step` is the one step of every state family: it runs and times the
+  * `step` is the one step of every state family: it fails with an
+  * `IllegalArgumentException` when the centroids' dimension is not the
+  * points' (a state over no points accepts any), then runs and times the
   * family's assignment phase, then its refinement phase if it has one, and
   * reports `sums`/`counts` as they are left. A family whose assignment adds
-  * every point or node into `sums` itself (INDE, KdTree) has no refinement
-  * phase and reports a refinement time of exactly 0. Incremental refinement
-  * replays the movers of a `MoveLog`.
+  * every point or node into `sums` itself (INDE, which UniK-multiple runs,
+  * and KdTree) has no refinement phase and reports a refinement time of
+  * exactly 0. Incremental refinement replays the movers of a `MoveLog`.
   */
 abstract class PointState(val points: Array[Array[Double]], val k: Int)
     extends PartitionState {
@@ -71,6 +73,10 @@ abstract class PointState(val points: Array[Array[Double]], val k: Int)
   protected def radii(): Array[Double] = null
 
   final def step(info: CentroidInfo): Partials = {
+    // the driver cannot see d on Spark, so each state checks the init's here
+    if (n > 0 && info.centroids(0).length != d)
+      throw new IllegalArgumentException(
+        s"the centroids have ${info.centroids(0).length} coordinates, the points have $d")
     val t0 = System.nanoTime()
     val moved = assignPhase(info)
     val t1 = System.nanoTime()

@@ -7,7 +7,7 @@ import repro.core._
 /** Pure index-based k-means ("INDE") [Moore, UAI'00]: every iteration runs
   * the `CandidateFilter` traversal from the root. A node left with one
   * candidate is assigned whole through its sum vector: zero point accesses,
-  * free refinement.
+  * free refinement. UniK-multiple runs this state too.
   */
 final class BallKMeansStrategy(kind: BallTree.Kind = BallTree.Ball) extends Strategy {
   val name: String = if (kind == BallTree.Ball) "Index" else s"Index-${kind.label}"
@@ -28,12 +28,12 @@ final class BallKMeansState(points: Array[Array[Double]], k: Int, kind: BallTree
 }
 
 /** Moore's candidate filtering over a ball tree [Moore, UAI'00], the one
-  * root-to-leaf traversal of this repository: INDE runs it every iteration
-  * and UniK on its root passes. At node N with pivot p and radius r, a
-  * candidate c is dropped when d(p,c) > d(p,c*) + 2r (no point under N can
-  * prefer c over the nearest candidate c*) — the general form of Eq. 2. A
-  * node left with one candidate goes to it whole through its sum vector;
-  * a leaf's points are scanned against the surviving candidates.
+  * root-to-leaf traversal of this repository: INDE and UniK-multiple run it
+  * every iteration, the other UniK modes on their root passes. At node N with
+  * pivot p and radius r, a candidate c is dropped when d(p,c) > d(p,c*) + 2r
+  * (no point under N can prefer c over the nearest candidate c*) — the general
+  * form of Eq. 2. A node left with one candidate goes to it whole through its
+  * sum vector; a leaf's points are scanned against the surviving candidates.
   *
   * Both scans are batched: a node's pivot against its candidates through
   * `Geometry.distSqMany`, and a leaf's points against the candidates kept

@@ -35,7 +35,8 @@ final case class EvalRecord(
 
 /** Runs clustering tasks and produces EvalRecords. Index labels follow
   * Algorithm 2: 1 = no index (best sequential), 2 = pure index traversal,
-  * 3 = UniK index-single, 4 = UniK index-multiple.
+  * 3 = UniK index-single, 4 = UniK index-multiple. Labels 2 and 4 time the
+  * same state (UniK-multiple is INDE's), so they differ only by timing noise.
   */
 object EvalHarness {
 

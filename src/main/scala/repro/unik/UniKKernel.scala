@@ -3,7 +3,7 @@ package repro.unik
 import scala.collection.mutable.ArrayBuffer
 
 import repro.core._
-import repro.index.{BallNode, BallTree, CandidateFilter}
+import repro.index.{BallKMeansState, BallNode, BallTree, CandidateFilter}
 
 /** UniK (Section 5): index nodes and points flow through ONE pruning
   * pipeline. An object o (node with radius r, or point with r = 0) carries
@@ -14,11 +14,12 @@ import repro.index.{BallNode, BallTree, CandidateFilter}
   * ψ (Eq. 12), and refinement is incremental over cluster sum vectors
   * (Section 5.1.2).
   *
-  * Traversal knobs (Section 5.3): `Multiple` re-enters the tree from the
-  * root every iteration; `Single` keeps the surviving objects in their
-  * clusters and drift-updates their bounds; `Adaptive` times its first
-  * step (root) against its second (clusters) and keeps the winner. Root
-  * passes, seeding or not, fork their subtrees onto the ForkJoin pool
+  * Traversal knobs (Section 5.3): `Multiple` re-enters the tree from the root
+  * every iteration and carries nothing between them, so it runs INDE's state
+  * (`BallKMeansState`): no bounds, no groups. `Single` keeps the surviving
+  * objects in their clusters and drift-updates their bounds; `Adaptive` times
+  * its first step (root) against its second (clusters) and keeps the winner.
+  * Root passes, seeding or not, fork their subtrees onto the ForkJoin pool
   * (`CandidateFilter`); the cluster pass runs on the calling thread. So each
   * timed step runs with the threading of the traversal it stands for.
   */
@@ -35,16 +36,17 @@ final class UniKStrategy(mode: UniKMode = UniKMode.Adaptive) extends Strategy {
     case UniKMode.Single   => "UniK-single"
     case UniKMode.Multiple => "UniK-multiple"
   }
-  override val grouping: Grouping = Grouping.Fixed
+  override val grouping: Grouping = if (mode == UniKMode.Multiple) Grouping.Ungrouped else Grouping.Fixed
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
-    new UniKState(points, k, mode, seed)
+    if (mode == UniKMode.Multiple) new BallKMeansState(points, k, BallTree.Ball, seed)
+    else new UniKState(points, k, mode, seed)
 }
 
 /** One partition's UniK state. It counts its own steps: the first is a root
   * pass that seeds the bounds and object lists, whatever the driver's
   * iteration, so a state rebuilt mid-run (a recomputed Spark partition)
-  * starts from exact bounds; the traversal of later steps follows `mode`,
+  * starts from exact bounds; later steps are cluster passes under `Single`,
   * and `Adaptive` times the assignment phase of the state's own first two
   * steps. A root pass adds every node and point into the sums as it places
   * them; a cluster pass logs each mover, a node through its sum vector or a
@@ -54,6 +56,7 @@ final class UniKStrategy(mode: UniKMode = UniKMode.Adaptive) extends Strategy {
   */
 final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed: Long)
     extends PointState(points, k) {
+  require(mode != UniKMode.Multiple, "UniK-multiple runs a BallKMeansState")
 
   private[unik] val tree = BallTree.build(points, seed = seed)
   // per point: the distance to its leaf's pivot; only UniK keeps this array
@@ -81,11 +84,7 @@ final class UniKState(points: Array[Array[Double]], k: Int, mode: UniKMode, seed
   protected def assignPhase(info: CentroidInfo): Long = {
     moved = 0
     steps += 1
-    val useRoot = steps == 1 || (mode match {
-      case UniKMode.Multiple => true
-      case UniKMode.Single   => false
-      case UniKMode.Adaptive => steps > 2 && !chosenSingle
-    })
+    val useRoot = steps == 1 || (mode == UniKMode.Adaptive && steps > 2 && !chosenSingle)
 
     val t0 = System.nanoTime()
     if (useRoot) rootTraversal(info) else clusterPass(info)

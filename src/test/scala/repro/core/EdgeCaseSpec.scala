@@ -117,6 +117,20 @@ class EdgeCaseSpec extends AnyFunSuite {
     }
   }
 
+  // An init of another dimension than the points' fails in the first step,
+  // whatever the strategy; a state over no points accepts it.
+  test("every strategy rejects an init of another dimension than the points'") {
+    val pts = TestData.mixture(120, 5, 4, 0.05, 14L)
+    val init = Init.kmeansPlusPlus(pts, 6, 15L)
+    for (s <- LloydKernel +: strategies; dInit <- Seq(3, 7)) {
+      val bad = init.map(c => Array.tabulate(dInit)(z => if (z < c.length) c(z) else 0.5))
+      val e = intercept[IllegalArgumentException](Runner.fitLocal(s, pts, 6, bad, maxIters = 3))
+      assert(e.getMessage == s"the centroids have $dInit coordinates, the points have 5", s.name)
+      Runner.fitStates(s, Seq(s.newState(Array.empty, 6, 17L)), ps => ps.head.step(_: CentroidInfo),
+        6, bad, 3, 17L)
+    }
+  }
+
   test("Runner.requireInit rejects non-finite init values") {
     val pts = TestData.mixture(40, 3, 4, 0.05, 12L)
     for (bad <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {

@@ -120,10 +120,10 @@ class ExactnessSpec extends AnyFunSuite {
   }
 
   // Every deterministic strategy's cumulative counters on one fixture: a
-  // refactor must keep each one bit-identical. INDE and UniK's root
-  // passes run the same candidate-filtering traversal; UniK seeds its bounds
-  // on its first step only. Adaptive UniK is left out: it picks its
-  // traversal by timing.
+  // refactor must keep each one bit-identical. UniK-multiple runs INDE's
+  // state, so its rows are INDE's; UniK-single's root pass runs the same
+  // traversal and seeds its bounds on its first step only. Adaptive UniK is
+  // left out: it picks its traversal by timing.
   private val pins: Seq[(Strategy, Int, Long, Long, Long, Long, Long)] = {
     def by(name: String) = Strategies(name)
     def kind(k: BallTree.Kind) = new BallKMeansStrategy(k)
@@ -148,7 +148,7 @@ class ExactnessSpec extends AnyFunSuite {
       (kind(BallTree.HKT),  14,  254202L,  124960L,  3010L,       0L,       0L),
       (kind(BallTree.MTree), 14, 1066634L, 836540L,  3178L,       0L,       0L),
       (kind(BallTree.Cover), 14, 2920893L, 2696017L, 2310L,       0L,       0L),
-      (Strategies.unikMultiple, 14, 692312L, 497558L, 3318L,      0L,   20000L),
+      (Strategies.unikMultiple, 14, 692312L, 497558L, 3318L,      0L,       0L),
       (Strategies.unikSingle, 14, 168046L,  154260L,   265L,  373180L,  323574L))
   }
 
@@ -232,7 +232,7 @@ class ExactnessSpec extends AnyFunSuite {
       (kind(BallTree.HKT),  19,  678255L,  451625L,   7251L,       0L,       0L, 0xe81c7039c86081d5L),
       (kind(BallTree.MTree), 19, 1846595L, 1417547L, 10237L,       0L,       0L, 0x5f7f31dd7f80bc7aL),
       (kind(BallTree.Cover), 19, 7320819L, 6617405L, 11941L,       0L,       0L, 0xc863edbad48e901dL),
-      (Strategies.unikMultiple, 19, 743931L, 474631L, 8321L,       0L,   18576L, 0x7d550e6b40cce951L),
+      (Strategies.unikMultiple, 19, 743931L, 474631L, 8321L,       0L,       0L, 0x7d550e6b40cce951L),
       (Strategies.unikSingle, 19,  196612L,  179730L,    709L,  478211L,  447071L, 0x9f47b0c5ba8363a0L))
   }
 
@@ -258,12 +258,13 @@ class ExactnessSpec extends AnyFunSuite {
 
   // Every step's `Partials` must agree with the assignments it leaves, on one
   // thread and on the pool: counts are their histogram and sum to n, `moved`
-  // is the number of points whose cluster changed, and INDE and KdTree, which
-  // add points and nodes as they assign them, report no refinement time.
+  // is the number of points whose cluster changed, and INDE (so UniK-multiple)
+  // and KdTree, which add points and nodes as they assign them, report no
+  // refinement time.
   for (s <- Strategies.byName.values.toSeq.sortBy(_.name) ++
          Seq(BallTree.HKT, BallTree.MTree, BallTree.Cover).map(new BallKMeansStrategy(_))) {
     test(s"${s.name}'s partials match its assignments at every step, on one thread and the pool") {
-      val noRefine = s.isInstanceOf[BallKMeansStrategy] || s == KdKMeans
+      val noRefine = s.isInstanceOf[BallKMeansStrategy] || s == KdKMeans || s == Strategies.unikMultiple
       for (pooled <- Seq(false, true)) {
         val state = s.newState(blockPts, 60, 17L)
         var prev = Array.fill(blockPts.length)(-1)
@@ -319,6 +320,13 @@ class ExactnessSpec extends AnyFunSuite {
 
   test("the block pins cover every deterministic strategy and Ball-tree kind") {
     assert(blockPins.map(_._1.name) == pins.map(_._1.name))
+  }
+
+  test("UniK-multiple's pins are INDE's, field for field") {
+    def row(rows: Seq[Product], s: Strategy) =
+      rows.find(_.productElement(0) == s).get.productIterator.drop(1).toSeq
+    for (rows <- Seq(pins, blockPins))
+      assert(row(rows, Strategies.unikMultiple) == row(rows, Strategies.index))
   }
 
   // Spark's local[2] shape: two partition states of one strategy stepped at

@@ -118,6 +118,11 @@ class SparkKMeansSpec extends SparkSpec {
     intercept[IllegalArgumentException](SparkKMeans.fit(spark, rdd, LloydKernel, k, init.take(k - 1)))
     intercept[IllegalArgumentException](
       SparkKMeans.fit(spark, rdd, LloydKernel, k, init.updated(1, Array(0.5))))
+    // Only the executors see d: a well-formed init of another dimension
+    // fails in the first step.
+    val e = intercept[Exception](SparkKMeans.fit(spark, rdd, LloydKernel, k, init.map(_ :+ 0.5)))
+    val chain = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.toString).mkString("\n")
+    assert(chain.contains("IllegalArgumentException: the centroids have 5 coordinates, the points have 4"), chain)
     assert(sc.getPersistentRDDs.keySet == before)
   }
 

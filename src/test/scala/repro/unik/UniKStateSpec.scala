@@ -13,7 +13,7 @@ class UniKStateSpec extends AnyFunSuite {
          ("uniform", TestData.uniform(300, 6, 42L)),
          ("high-d", TestData.mixture(200, 32, 5, 0.1, 43L))))
     test(s"$dsName: each point's ψ is its distance to its leaf's pivot, with the leaf radius's bits") {
-      val state = new UniKState(pts, 8, UniKMode.Multiple, 3L)
+      val state = new UniKState(pts, 8, UniKMode.Single, 3L)
       val tree = state.tree
       assert(tree.leaves.map(_.num).sum == pts.length)
       for (leaf <- tree.leaves) {
