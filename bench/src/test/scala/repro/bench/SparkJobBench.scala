@@ -35,7 +35,7 @@ class SparkJobBench extends SparkSpec {
     }
     val viaMap = cachedStates()
     val viaTask = cachedStates()
-    val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false), null)
+    val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false))
     val b = sc.broadcast(info)
     try {
       def timed(run: => Partials): (Partials, Double) = {

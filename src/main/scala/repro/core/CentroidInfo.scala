@@ -22,14 +22,13 @@ final class GroupInfo(
 
 /** Everything the assignment step needs about this iteration's centroids.
   * `compute` builds on the driver only what needs driver state, and the
-  * Spark runner broadcasts just that: the centroids, their drifts, the
-  * `Grouper`'s groups and the previous step's `maxUb`. Every other field is
-  * derived where a kernel first reads it, in the JVM that reads it, and is
-  * never serialized: a whole array once, a row of `cc`, `neighbors` or
-  * `candidates` once per row. Concurrent first readers of a row may each
-  * build it, with the same bits; all get the row published first. No field
-  * is built with parallel work, so a pool worker reading one never waits on
-  * a thread that waits on the pool.
+  * Spark runner broadcasts just that: the centroids, their drifts and the
+  * `Grouper`'s groups. Every other field is derived where a kernel first
+  * reads it, in the JVM that reads it, and is never serialized: a whole
+  * array once, a row of `cc` or `neighbors` once per row. Concurrent first
+  * readers of a row may each build it, with the same bits; all get the row
+  * published first. No field is built with parallel work, so a pool worker
+  * reading one never waits on a thread that waits on the pool.
   */
 final class CentroidInfo(
     val iter: Int, // the driver's 1-based iteration; iter 1 has zero drifts. States
@@ -39,8 +38,7 @@ final class CentroidInfo(
     val maxDrift: Double,
     val maxDriftIdx: Int,
     val maxDrift2: Double,
-    val groups: GroupInfo,
-    val maxUb: Array[Double] // the previous step's `Partials.maxUb`, or null
+    val groups: GroupInfo
 ) extends Serializable {
   import CentroidInfo._
 
@@ -56,7 +54,6 @@ final class CentroidInfo(
 
   @transient private lazy val ccRows = new AtomicReferenceArray[CcRow](k)
   @transient private lazy val annuliRows = new AtomicReferenceArray[Array[Int]](k)
-  @transient private lazy val candidateRows = new AtomicReferenceArray[Array[Int]](k)
 
   /** Row a of the centroid distances, in the bits of `Geometry.dist`; as
     * (a−b)² == (b−a)² exactly, `cc(a)(b)` and `cc(b)(a)` have the same bits.
@@ -67,25 +64,6 @@ final class CentroidInfo(
 
   /** Exponion annuli of centroid a over `cc(a)` (see `annuli`). */
   def neighbors(a: Int): Array[Int] = memo(annuliRows, a)(annuli(a, cc(a)))
-
-  /** Pami20's candidates of cluster a (Eq. 4): the centroids b with
-    * ½·cc(a)(b) ≤ `radii(a)`, a included; all of them while the radius is
-    * infinite.
-    */
-  def candidates(a: Int): Array[Int] = memo(candidateRows, a) {
-    val ra = radii(a)
-    if (ra.isInfinity) IndexSort.iota(k)
-    else {
-      val row = cc(a)
-      val buf = new scala.collection.mutable.ArrayBuffer[Int](8)
-      var b = 0
-      while (b < k) {
-        if (b == a || row(b) * 0.5 <= ra) buf += b
-        b += 1
-      }
-      buf.toArray
-    }
-  }
 
   @transient lazy val norms: Array[Double] = centroids.map(Geometry.norm)
   @transient lazy val normSq: Array[Double] = norms.map(x => x * x)
@@ -101,15 +79,6 @@ final class CentroidInfo(
   /** The norms of each centroid's two coordinate blocks (Block-Vector). */
   @transient lazy val blockB1: Array[Double] = centroids.map(Geometry.blockNorms(_)._1)
   @transient lazy val blockB2: Array[Double] = centroids.map(Geometry.blockNorms(_)._2)
-
-  /** Per-cluster radius upper bounds (Pami20, Drift): `maxUb` was measured
-    * against the previous centroids, so each is padded by this iteration's
-    * drift to still cover every member point. Infinite until a step has
-    * reported radii.
-    */
-  @transient lazy val radii: Array[Double] =
-    if (maxUb == null) Array.fill(k)(Double.PositiveInfinity)
-    else Array.tabulate(k)(j => maxUb(j) + drifts(j))
 
   /** Centroid a against the panel, and the row's nearest other centroid. */
   private def ccRow(a: Int): CcRow = memo(ccRows, a) {
@@ -131,11 +100,10 @@ object CentroidInfo {
   /** Build this iteration's shared state. `prev` is the centroid matrix the
     * previous step assigned against (null at iteration 1). `groups` comes
     * from the driver's `Grouper` (null for an ungrouped strategy); its
-    * per-group max drifts are filled here. `maxUb` comes from the previous
-    * step's `Partials.maxUb` (null until available).
+    * per-group max drifts are filled here.
     */
   def compute(iter: Int, centroids: Array[Array[Double]], prev: Array[Array[Double]],
-              groups: GroupInfo, maxUb: Array[Double]): CentroidInfo = {
+              groups: GroupInfo): CentroidInfo = {
     val k = centroids.length
 
     val drifts = new Array[Double](k)
@@ -162,7 +130,7 @@ object CentroidInfo {
       }
     }
 
-    new CentroidInfo(iter, centroids, drifts, md, mdIdx, md2, groups, maxUb)
+    new CentroidInfo(iter, centroids, drifts, md, mdIdx, md2, groups)
   }
 
   private final class CcRow(val dist: Array[Double], val nearestOther: Double)
@@ -170,7 +138,7 @@ object CentroidInfo {
   /** Row a of `rows`; the first reader builds it, and of concurrent builds
     * the one published first is kept.
     */
-  @inline private def memo[A <: AnyRef](rows: AtomicReferenceArray[A], a: Int)(build: => A): A = {
+  @inline private[core] def memo[A <: AnyRef](rows: AtomicReferenceArray[A], a: Int)(build: => A): A = {
     val r = rows.get(a)
     if (r != null) r
     else {
@@ -219,12 +187,12 @@ final class Grouper(seed: Long) {
     val t = Grouper.nGroupsFor(k)
     if (current == null) {
       val init = Init.kmeansPlusPlus(centroids, t, seed)
-      val (of, centers) = Grouper.miniKMeans(centroids, init, 5)
+      val (of, centers) = Grouper.lloyd(centroids, init, 5)
       groupCenters = centers
       current = Grouper.buildInfo(of, t, null)
     } else if (regroup && iter > 1) {
       val oldOf = current.of
-      val (of, centers) = Grouper.miniKMeans(centroids, groupCenters, 2)
+      val (of, centers) = Grouper.lloyd(centroids, groupCenters, 2)
       groupCenters = centers
       val remap = Array.tabulate(t) { g =>
         val set = scala.collection.mutable.SortedSet.empty[Int]
@@ -255,40 +223,14 @@ object Grouper {
     new GroupInfo(of.clone(), t, members, new Array[Double](t), remap)
   }
 
-  /** Plain Lloyd over a tiny point set (the centroids themselves). */
-  private def miniKMeans(pts: Array[Array[Double]], init: Array[Array[Double]],
-                         iters: Int): (Array[Int], Array[Array[Double]]) = {
-    val t = init.length
-    val n = pts.length
-    val d = if (n > 0) pts(0).length else 0
-    var centers = Geometry.copy2(init)
-    val of = new Array[Int](n)
-    val sq = new Array[Double](t)
-    var it = 0
-    while (it < iters) {
-      val panel = Geometry.panel(centers)
-      var i = 0
-      while (i < n) {
-        Geometry.distSqPanel(pts(i), panel, t, sq)
-        var best = 0; var bd = Double.PositiveInfinity
-        var g = 0
-        while (g < t) {
-          if (sq(g) < bd) { bd = sq(g); best = g }
-          g += 1
-        }
-        of(i) = best
-        i += 1
-      }
-      val sums = Array.ofDim[Double](t, d)
-      val cnt = new Array[Long](t)
-      i = 0
-      while (i < n) { Geometry.addTo(sums(of(i)), pts(i)); cnt(of(i)) += 1; i += 1 }
-      centers = Array.tabulate(t) { g =>
-        if (cnt(g) == 0) centers(g)
-        else { val v = sums(g); var z = 0; while (z < d) { v(z) /= cnt(g); z += 1 }; v }
-      }
-      it += 1
-    }
-    (of, centers)
+  /** Lloyd over a tiny point set (the centroids themselves) from `init`,
+    * for at most `iters` iterations: each point's group and the group centers.
+    */
+  private def lloyd(pts: Array[Array[Double]], init: Array[Array[Double]],
+                    iters: Int): (Array[Int], Array[Array[Double]]) = {
+    val state = LloydKernel.newState(pts, init.length, 0L)
+    val res = Runner.fitStates(LloydKernel, Seq(state), ps => ps.head.step(_: CentroidInfo),
+      init.length, init, iters, 0L)
+    (state.assignments, res.centroids)
   }
 }

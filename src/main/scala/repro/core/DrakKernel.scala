@@ -22,8 +22,6 @@ final class DrakState(points: Array[Array[Double]], k: Int)
   private val bIdx = Array.ofDim[Int](n, b)     // the b closest non-assigned centroids
   private val bLb = Array.ofDim[Double](n, b)   // their lower bounds
 
-  override protected def ubOf(i: Int): Double = ub(i)
-
   protected type Ctx = Block
   protected def newBlock(): Block = new Block
 

@@ -10,21 +10,18 @@ object ElkaKernel extends Strategy {
   val name = "Elka"
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
-    new ElkaState(points, k, tighterDrift = false)
+    new ElkaState(points, k)
 }
 
-/** Drift [Rysavy & Hamerly, SDM'16] — Elkan with a geometrically tightened
-  * centroid-drift bound. We cap each drift by the cluster-radius bound
-  * (the new centroid is a mean of points within `radius` of the old one, so
-  * `drift ≤ radius`), which needs the per-cluster radii every iteration;
-  * exactness is preserved and so is the paper's observed cost profile
-  * (extra bound bookkeeping, little gain — see DESIGN.md substitutions).
+/** Drift [Rysavy & Hamerly, SDM'16] runs Elkan's bounds, `ElkaState`, so its
+  * counters and centroids are Elka's. Its geometric drift bound (Alg. 2 of
+  * the Drift paper) is not reproduced, see DESIGN.md substitutions.
   */
 object DriftKernel extends Strategy {
   val name = "Drift"
 
   def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState =
-    new ElkaState(points, k, tighterDrift = true)
+    new ElkaState(points, k)
 }
 
 /** Elkan's per-pair bounds, shared by Elka, Drift and Full: per point an
@@ -36,8 +33,6 @@ abstract class ElkanState(points: Array[Array[Double]], k: Int)
 
   protected final val ub = new Array[Double](n)
   protected final val lb = new Array[Double](n * k) // flattened (i, j)
-
-  override protected def ubOf(i: Int): Double = ub(i)
 
   protected type Ctx = Block
   protected def newBlock(): Block = new Block
@@ -71,10 +66,8 @@ abstract class ElkanState(points: Array[Array[Double]], k: Int)
   }
 }
 
-final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolean)
+final class ElkaState(points: Array[Array[Double]], k: Int)
     extends ElkanState(points, k) {
-
-  override protected def reportRadii: Boolean = tighterDrift
 
   override protected def seedAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     var i = from
@@ -89,11 +82,6 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
   protected def assignAll(info: CentroidInfo, from: Int, until: Int, b: Block): Unit = {
     val cs = info.centroids
     val drifts = info.drifts
-    // Drift variant: δ(j) = min(drift(j), radius(j)) — still an upper bound
-    // on how far c_j moved.
-    val delta =
-      if (!tighterDrift) drifts
-      else { val radii = info.radii; Array.tabulate(k)(j => math.min(drifts(j), radii(j))) }
 
     var reads = 0L
     var i = from
@@ -103,7 +91,7 @@ final class ElkaState(points: Array[Array[Double]], k: Int, tighterDrift: Boolea
       var a = assign(i)
       var u = ub(i) + drifts(a)
       var j = 0
-      while (j < k) { lb(base + j) -= delta(j); j += 1 }
+      while (j < k) { lb(base + j) -= drifts(j); j += 1 }
 
       reads += 1
       if (u > info.sc(a)) {

@@ -25,8 +25,6 @@ abstract class HamerlyState(points: Array[Array[Double]], k: Int)
   protected final val ub = new Array[Double](n)
   protected final val lb = new Array[Double](n)
 
-  override protected def ubOf(i: Int): Double = ub(i)
-
   protected type Ctx = Block
   protected def newBlock(): Block = new Block
 

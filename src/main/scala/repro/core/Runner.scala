@@ -33,12 +33,11 @@ final case class FitResult(
 }
 
 /** The k-means driver: the one iteration loop every execution path runs.
-  * Each iteration computes the centroid-side `CentroidInfo` (drifts, the
-  * groups of the strategy's `grouping`, the previous step's radii; the rest
-  * is built where a kernel reads it), hands it to a step that runs
-  * assignment and refinement over all partition states and returns their
-  * merged `Partials`, and turns the merged sums into the next centroids,
-  * until no point moves or `maxIters`.
+  * Each iteration computes the centroid-side `CentroidInfo` (drifts and the
+  * groups of the strategy's `grouping`; the rest is built where a kernel
+  * reads it), hands it to a step that runs assignment and refinement over
+  * all partition states and returns their merged `Partials`, and turns the
+  * merged sums into the next centroids, until no point moves or `maxIters`.
   * `fitLocal` steps one in-memory partition on one thread (`Blocks.oneThread`),
   * the paper's setting: the timed benches and UTune's ground truth compare
   * algorithms, not how well each one's assignment spreads over cores (Heap,
@@ -67,8 +66,9 @@ object Runner {
                 seed: Long): FitResult =
     fit(strategy, mkStep(states), cs => states.map(_.finalSse(cs)).sum, k, init, maxIters, seed)
 
-  /** Fails unless `init` holds `k` finite centroids of one dimension. */
+  /** Fails unless `init` holds `k` ≥ 1 finite centroids of one dimension. */
   def requireInit(init: Array[Array[Double]], k: Int): Unit = {
+    require(k >= 1, s"k is $k, expected at least 1")
     require(init.length == k, s"init has ${init.length} centroids, expected $k")
     require(init.forall(_.length == init(0).length), "init centroids differ in dimension")
     require(init.forall(_.forall(java.lang.Double.isFinite)), "init has a non-finite coordinate")
@@ -89,7 +89,6 @@ object Runner {
       if (strategy.grouping == Grouping.Ungrouped) null else new Grouper(seed ^ 0x9e3779b97f4a7c15L)
     var centroids = Geometry.copy2(init)
     var prev: Array[Array[Double]] = null
-    var radii: Array[Double] = null
 
     val assignNs = new scala.collection.mutable.ArrayBuffer[Long]
     val refineNs = new scala.collection.mutable.ArrayBuffer[Long]
@@ -104,12 +103,11 @@ object Runner {
     while (t <= maxIters && !converged) {
       val gi =
         if (grouper != null) grouper.update(centroids, t, strategy.grouping == Grouping.Regrouped) else null
-      val info = CentroidInfo.compute(t, centroids, prev, gi, radii)
+      val info = CentroidInfo.compute(t, centroids, prev, gi)
       val p = step(info)
       assignNs += p.assignNanos; refineNs += p.refineNanos; moved += p.moved
       metrics = p.metrics
       if (t == 1) { metricsIter1 = p.metrics; nTotal = p.n }
-      radii = p.maxUb
       val next = Array.tabulate(k) { j =>
         if (p.counts(j) == 0) centroids(j).clone
         else {

@@ -69,9 +69,6 @@ abstract class PointState(val points: Array[Array[Double]], val k: Int)
   protected def refines: Boolean = false
   protected def refinePhase(): Unit = ()
 
-  /** Per-cluster radius upper bounds for `Partials.maxUb`, or null. */
-  protected def radii(): Array[Double] = null
-
   final def step(info: CentroidInfo): Partials = {
     // the driver cannot see d on Spark, so each state checks the init's here
     if (n > 0 && info.centroids(0).length != d)
@@ -81,7 +78,7 @@ abstract class PointState(val points: Array[Array[Double]], val k: Int)
     val moved = assignPhase(info)
     val t1 = System.nanoTime()
     val t2 = if (refines) { refinePhase(); System.nanoTime() } else t1
-    new Partials(Geometry.copy2(sums), counts.clone(), radii(), moved, n.toLong, m.snapshot(),
+    new Partials(Geometry.copy2(sums), counts.clone(), moved, n.toLong, m.snapshot(),
       t1 - t0, t2 - t1)
   }
 
@@ -157,7 +154,8 @@ object PointState {
   * counters are added into `m`, and the refinement phase applies their move
   * logs in block order, which is point order, so sums, counts and counters
   * are bit-identical to one block over [0, n). Sequential work that must
-  * precede the blocks (Search's range searches) goes in `prelude`.
+  * precede the blocks (Search's range searches, Pami20's radii) goes in
+  * `prelude`.
   */
 abstract class SequentialState(points: Array[Array[Double]], k: Int)
     extends PointState(points, k) {
@@ -165,18 +163,10 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
   /** Lloyd sets this false: refinement rescans every point. */
   protected def incrementalRefine: Boolean = true
 
-  /** Pami20/Drift: report per-cluster max distance upper bound. */
-  protected def reportRadii: Boolean = false
-
   /** Heap sets this false: its per-cluster heaps span points, so it runs
     * as one block over [0, n).
     */
   protected def blocked: Boolean = true
-
-  /** Distance upper bound of point i to its assigned centroid (only needed
-    * when `reportRadii`; must be valid after `seedAll` and `assignAll`).
-    */
-  protected def ubOf(i: Int): Double = 0.0
 
   private var seeded = false
   private var stepped: Array[Block] = null // the blocks between a step's two phases
@@ -308,17 +298,4 @@ abstract class SequentialState(points: Array[Array[Double]], k: Int)
     }
     stepped = null
   }
-
-  override protected final def radii(): Array[Double] =
-    if (!reportRadii) null
-    else {
-      val r = new Array[Double](k)
-      var i = 0
-      while (i < n) {
-        val a = assign(i)
-        if (ubOf(i) > r(a)) r(a) = ubOf(i)
-        i += 1
-      }
-      r
-    }
 }

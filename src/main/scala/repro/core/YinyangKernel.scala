@@ -33,8 +33,6 @@ final class YinyangState(points: Array[Array[Double]], k: Int)
   private val t = Grouper.nGroupsFor(k)
   private val glb = new Array[Double](n * t) // flattened (i, g)
 
-  override protected def ubOf(i: Int): Double = ub(i)
-
   /** A block's scratch: the group scan and Regroup's remap buffer. */
   protected final class Ctx extends Block {
     val gs = new GroupScan(t, k)

@@ -140,10 +140,19 @@ class EdgeCaseSpec extends AnyFunSuite {
     }
   }
 
+  // k = 0 fails in the init check, before any state steps.
+  test("Runner.requireInit rejects k = 0, for every strategy") {
+    val pts = TestData.mixture(40, 3, 4, 0.05, 12L)
+    for (s <- LloydKernel +: strategies) {
+      val e = intercept[IllegalArgumentException](Runner.fitLocal(s, pts, 0, Array.empty[Array[Double]]))
+      assert(e.getMessage.endsWith("k is 0, expected at least 1"), s.name)
+    }
+  }
+
   test("Partials.merge drops a side over no points") {
     def partials(n: Long, sums: Array[Array[Double]]) = {
       val m = new Metrics; m.dist = n
-      new Partials(sums, Array.fill(sums.length)(n), null, n, n, m, n, 0L)
+      new Partials(sums, Array.fill(sums.length)(n), n, n, m, n, 0L)
     }
     val full = partials(3L, Array(Array(1.0, 2.0), Array(3.0, 4.0)))
     val empty = partials(0L, Array(Array(0.0), Array(0.0)))

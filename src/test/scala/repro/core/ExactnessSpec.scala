@@ -111,10 +111,10 @@ class ExactnessSpec extends AnyFunSuite {
     val c1 = Array(Array(10.0), Array(5.0), Array(1.0))
     val c2 = Array(Array(-0.5), Array(5.0), Array(3.0))
     val state = ElkaKernel.newState(pts, 3, 0L)
-    val seeded = state.step(CentroidInfo.compute(1, c1, null, null, null)).metrics
+    val seeded = state.step(CentroidInfo.compute(1, c1, null, null)).metrics
     assert(state.assignments.toSeq == Seq(2, 1, 0))
     assert((seeded.dist, seeded.boundAccess, seeded.boundUpdate) == ((6L, 0L, 6L)))
-    val m = state.step(CentroidInfo.compute(2, c2, c1, null, null)).metrics
+    val m = state.step(CentroidInfo.compute(2, c2, c1, null)).metrics
     assert(state.assignments.toSeq == Seq(0, 1, 1))
     assert((m.dist, m.boundAccess, m.boundUpdate) == ((10L, 8L, 18L)))
   }
@@ -322,11 +322,13 @@ class ExactnessSpec extends AnyFunSuite {
     assert(blockPins.map(_._1.name) == pins.map(_._1.name))
   }
 
+  // Drift runs Elka's state, so its pins are Elka's too.
   test("UniK-multiple's pins are INDE's, field for field") {
     def row(rows: Seq[Product], s: Strategy) =
       rows.find(_.productElement(0) == s).get.productIterator.drop(1).toSeq
-    for (rows <- Seq(pins, blockPins))
-      assert(row(rows, Strategies.unikMultiple) == row(rows, Strategies.index))
+    for (rows <- Seq(pins, blockPins);
+         (s, same) <- Seq(Strategies.unikMultiple -> Strategies.index, DriftKernel -> ElkaKernel))
+      assert(row(rows, s) == row(rows, same), s"${s.name} against ${same.name}")
   }
 
   // Spark's local[2] shape: two partition states of one strategy stepped at

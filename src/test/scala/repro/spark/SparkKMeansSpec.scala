@@ -233,7 +233,7 @@ class SparkKMeansSpec extends SparkSpec {
     val sc = spark.sparkContext
     val parts = 3
     val states = SparkKMeans.cachedStates(sc.parallelize(pts.toSeq, parts), YinyangKernel, k, 17L)
-    val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false), null)
+    val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false))
     val b = sc.broadcast(info)
     try {
       def step(): Array[Partials] = sc.runJob(states, SparkKMeans.stepTask(b), states.partitions.indices)
@@ -277,7 +277,7 @@ class SparkKMeansSpec extends SparkSpec {
   }
 
   test("the step task survives Java serialization and gives the same Partials bits") {
-    val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false), null)
+    val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false))
     val b = spark.sparkContext.broadcast(info)
     try {
       val task = SparkKMeans.stepTask(b)
@@ -320,18 +320,16 @@ object SparkKMeansSpec {
 
   private def bits(v: Double): Long = java.lang.Double.doubleToRawLongBits(v)
 
-  /** Whether `a` and `b` hold the same sums, radii and counters, bit for
-    * bit; phase times are not compared.
+  /** Whether `a` and `b` hold the same sums and counters, bit for bit;
+    * phase times are not compared.
     */
   def sameBits(a: Partials, b: Partials): Boolean = {
     def rows(p: Partials) = p.sums.map(_.map(bits).toSeq).toSeq
-    def radii(p: Partials) = Option(p.maxUb).map(_.map(bits).toSeq)
     def counters(p: Partials) = {
       val m = p.metrics
       Seq(p.moved, p.n, m.dist, m.pointAccess, m.nodeAccess, m.boundAccess, m.boundUpdate)
     }
-    rows(a) == rows(b) && a.counts.toSeq == b.counts.toSeq && radii(a) == radii(b) &&
-      counters(a) == counters(b)
+    rows(a) == rows(b) && a.counts.toSeq == b.counts.toSeq && counters(a) == counters(b)
   }
 
   /** `inner`, except that each state's `finalSse` is `SseOrderProbe.sseOf`
