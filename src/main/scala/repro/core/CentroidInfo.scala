@@ -1,6 +1,9 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicReferenceArray
+import java.lang.ref.WeakReference
+import java.util.concurrent.atomic.{AtomicLong, AtomicReference, AtomicReferenceArray}
+
+import scala.annotation.tailrec
 
 /** Centroid grouping for Yinyang/Regroup/UniK group pruning.
   *
@@ -21,14 +24,19 @@ final class GroupInfo(
 ) extends Serializable
 
 /** Everything the assignment step needs about this iteration's centroids.
-  * `compute` builds on the driver only what needs driver state, and the
-  * Spark runner broadcasts just that: the centroids, their drifts and the
+  * `compute` builds on the driver only what needs driver state, and each
+  * Spark step task carries just that: the centroids, their drifts and the
   * `Grouper`'s groups. Every other field is derived where a kernel first
   * reads it, in the JVM that reads it, and is never serialized: a whole
   * array once, a row of `cc` or `neighbors` once per row. Concurrent first
   * readers of a row may each build it, with the same bits; all get the row
   * published first. No field is built with parallel work, so a pool worker
   * reading one never waits on a thread that waits on the pool.
+  *
+  * Every info has an id, unique in the JVM that built it. Spark deserializes
+  * a job's function once per task; `readResolve` hands every task of a JVM
+  * the copy that JVM deserialized first while that copy is alive, so the
+  * derived rows are built once per JVM and step, not once per task.
   */
 final class CentroidInfo(
     val iter: Int, // the driver's 1-based iteration; iter 1 has zero drifts. States
@@ -43,6 +51,8 @@ final class CentroidInfo(
   import CentroidInfo._
 
   val k: Int = centroids.length
+
+  private val id: Long = nextId.getAndIncrement()
 
   /** Max drift among clusters other than j (for global-bound degradation). */
   def maxDriftOther(j: Int): Double = if (maxDriftIdx == j) maxDrift2 else maxDrift
@@ -93,9 +103,27 @@ final class CentroidInfo(
     }
     new CcRow(row, no)
   }
+
+  /** The live copy of this info in this JVM, which is this one unless a copy
+    * with its id was deserialized before and is still reachable.
+    */
+  @tailrec private def readResolve(): AnyRef = {
+    val ref = live.get
+    val cur = if (ref == null) null else ref.get
+    if (cur != null && cur.id == id) cur
+    else if (live.compareAndSet(ref, new WeakReference(this))) this
+    else readResolve()
+  }
 }
 
 object CentroidInfo {
+
+  private val nextId = new AtomicLong
+
+  /** The last info deserialized in this JVM, held weakly, so the slot keeps
+    * nothing alive once a fit's tasks drop their infos.
+    */
+  private val live = new AtomicReference[WeakReference[CentroidInfo]]
 
   /** Build this iteration's shared state. `prev` is the centroid matrix the
     * previous step assigned against (null at iteration 1). `groups` comes

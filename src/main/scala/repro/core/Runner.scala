@@ -50,6 +50,7 @@ object Runner {
   def fitLocal(strategy: Strategy, points: Array[Array[Double]], k: Int,
                init: Array[Array[Double]], maxIters: Int = 10,
                seed: Long = 17L): FitResult = {
+    requireFit(init, k, maxIters)
     Blocks.oneThread {
       val state = strategy.newState(points, k, seed)
       fitStates(strategy, Seq(state), ps => ps.head.step(_: CentroidInfo), k, init, maxIters, seed)
@@ -66,12 +67,24 @@ object Runner {
                 seed: Long): FitResult =
     fit(strategy, mkStep(states), cs => states.map(_.finalSse(cs)).sum, k, init, maxIters, seed)
 
-  /** Fails unless `init` holds `k` ≥ 1 finite centroids of one dimension. */
+  /** The checks a fit makes before it builds any state or runs any job:
+    * `maxIters` ≥ 1 and `requireInit`.
+    */
+  def requireFit(init: Array[Array[Double]], k: Int, maxIters: Int): Unit = {
+    require(maxIters >= 1, s"maxIters is $maxIters, expected at least 1")
+    requireInit(init, k)
+  }
+
+  /** Fails unless `init` holds `k` ≥ 1 finite centroids of one dimension,
+    * none with a coordinate whose squared distances can overflow
+    * (`PointState.requireInRange`).
+    */
   def requireInit(init: Array[Array[Double]], k: Int): Unit = {
     require(k >= 1, s"k is $k, expected at least 1")
     require(init.length == k, s"init has ${init.length} centroids, expected $k")
     require(init.forall(_.length == init(0).length), "init centroids differ in dimension")
     require(init.forall(_.forall(java.lang.Double.isFinite)), "init has a non-finite coordinate")
+    for (j <- init.indices) PointState.requireInRange(init(j), s"init centroid $j")
   }
 
   /** The iteration loop. `step` runs one assignment+refinement over every
@@ -83,7 +96,7 @@ object Runner {
           sse: Array[Array[Double]] => Double,
           k: Int, init: Array[Array[Double]], maxIters: Int,
           seed: Long): FitResult = {
-    requireInit(init, k)
+    requireFit(init, k, maxIters)
 
     val grouper =
       if (strategy.grouping == Grouping.Ungrouped) null else new Grouper(seed ^ 0x9e3779b97f4a7c15L)

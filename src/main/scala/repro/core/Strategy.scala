@@ -2,8 +2,9 @@ package repro.core
 
 /** One partition's worth of algorithm state: the points, the per-point
   * bound state, and (for index methods) the per-partition tree. Lives for
-  * the whole run; `step` is called once per iteration with the broadcast
-  * centroid-side state and returns this partition's partial aggregates.
+  * the whole run; `step` is called once per iteration with the driver's
+  * centroid-side state (on Spark, carried in the step's task) and returns
+  * this partition's partial aggregates.
   */
 trait PartitionState extends Serializable {
   def step(info: CentroidInfo): Partials
@@ -101,9 +102,9 @@ abstract class PointState(val points: Array[Array[Double]], val k: Int)
 object PointState {
 
   /** The common dimension of `points` (0 when there are none). Fails with
-    * an `IllegalArgumentException` naming the first row that is ragged or
-    * holds a NaN or infinite coordinate, and when the points have no
-    * coordinates at all.
+    * an `IllegalArgumentException` naming the first row that is ragged,
+    * holds a NaN or infinite coordinate or one out of range
+    * (`requireInRange`), and when the points have no coordinates at all.
     */
   private def checkedDim(points: Array[Array[Double]]): Int = {
     val d = if (points.isEmpty) 0 else points(0).length
@@ -118,10 +119,27 @@ object PointState {
           throw new IllegalArgumentException(s"point $i has a non-finite coordinate ${x(z)} at $z")
         z += 1
       }
+      requireInRange(x, s"point $i")
       i += 1
     }
     requireCoordinates(points)
     d
+  }
+
+  /** Fails with an `IllegalArgumentException` naming `row` when a coordinate
+    * of `x` has a magnitude M with 4·d·M² > `Double.MaxValue`: a squared
+    * distance between two such rows, a sum of d terms up to (2M)², could
+    * overflow to +Inf.
+    */
+  def requireInRange(x: Array[Double], row: => String): Unit = {
+    val limit = math.sqrt(Double.MaxValue / (4.0 * x.length))
+    var z = 0
+    while (z < x.length) {
+      if (math.abs(x(z)) > limit)
+        throw new IllegalArgumentException(
+          s"$row has a coordinate ${x(z)} at $z beyond ±$limit, where squared distances overflow")
+      z += 1
+    }
   }
 
   /** Fails with an `IllegalArgumentException` when `points` is not empty and

@@ -12,8 +12,8 @@ import repro.core._
 /** Distributed execution of any registered kernel on `Runner`'s driver loop:
   * points are partitioned and cached once; each partition owns a kernel
   * state (its slice of the data plus all per-point bounds / the
-  * per-partition ball-tree). Each iteration's step broadcasts the
-  * `CentroidInfo`, runs every state's `step` and merges the per-partition
+  * per-partition ball-tree). Each iteration's step runs every state's `step`
+  * under the `CentroidInfo` its task carries and merges the per-partition
   * `Partials` on the driver, in partition order.
   *
   * The states live in a `StateRDD` over the input's own partitions: state i
@@ -28,9 +28,13 @@ import repro.core._
   * and the one-argument `runJob` overloads: those hand Spark a closure
   * (theirs or `SparkContext`'s), and `ClosureCleaner` then finds and parses
   * `RDD.class` or `SparkContext.class` through the classpath on every job.
-  * With `local[2]`, 2 cached Yinyang partitions and k = 100, a step job took
-  * 18.6–34.9 ms through `map`+`collect` and 9.2–16.6 ms as a `StateTask`,
-  * and the build job 13.0–20.7 ms through `count` and 8.8–14.2 ms.
+  *
+  * A step's `CentroidInfo` and the final centroids travel in the job's own
+  * function, which Spark already broadcasts once per job as the task
+  * binary; a broadcast of their own would be a second copy, with a fixed
+  * cost of 1.5–2.2 ms to make and about 0.45 ms to destroy (`local[2]`).
+  * The only other broadcasts of a fit are its P parent partitions, so a fit
+  * over P partitions makes P + t + 2 broadcasts.
   *
   * Partition states are mutated across iterations inside the cached RDD;
   * with `local[*]` and MEMORY_ONLY storage this is the standard iterative-ML
@@ -41,7 +45,7 @@ object SparkKMeans {
   def fit(spark: SparkSession, points: RDD[Array[Double]], strategy: Strategy, k: Int,
           init: Array[Array[Double]], maxIters: Int = 10, numPartitions: Int = 4,
           seed: Long = 17L): FitResult = {
-    Runner.requireInit(init, k)
+    Runner.requireFit(init, k, maxIters)
     val sc = spark.sparkContext
     withCallSite(sc, s"SparkKMeans.fit ${strategy.name}") {
       // The input is shuffled only to change its partition count: the
@@ -59,8 +63,8 @@ object SparkKMeans {
         // the result does not depend on which task finishes first (`RDD.sum`
         // would add the SSEs in completion order).
         Runner.fit(strategy,
-          info => withBroadcast(sc, info)(b => run(stepTask(b)).reduce(_ merge _)),
-          cs => withBroadcast(sc, cs)(b => run(new StateTask(_.finalSse(b.value))).foldLeft(0.0)(_ + _)),
+          info => run(stepTask(info)).reduce(_ merge _),
+          cs => run(new StateTask(_.finalSse(cs))).foldLeft(0.0)(_ + _),
           k, init, maxIters, seed)
       } finally states.release()
     }
@@ -73,15 +77,11 @@ object SparkKMeans {
   private[repro] def cachedStates(input: RDD[Array[Double]], strategy: Strategy, k: Int, seed: Long): StateRDD =
     new StateRDD(input, strategy, k, seed).persist(StorageLevel.MEMORY_ONLY)
 
-  /** One iteration's task: every state's `step` under the broadcast info. */
-  private[repro] def stepTask(info: Broadcast[CentroidInfo]): StateTask[Partials] =
-    new StateTask(_.step(info.value))
-
-  /** Runs `f` on a broadcast of `v` and destroys the broadcast afterwards. */
-  private def withBroadcast[T: ClassTag, R](sc: SparkContext, v: T)(f: Broadcast[T] => R): R = {
-    val b = sc.broadcast(v)
-    try f(b) finally b.destroy()
-  }
+  /** One iteration's task: every state's `step` under `info`, which the
+    * task's function holds.
+    */
+  private[repro] def stepTask(info: CentroidInfo): StateTask[Partials] =
+    new StateTask(_.step(info))
 
   /** Runs `f` with both call-site forms of this thread's jobs set to
     * `label`, then restores the caller's. With both set, Spark names each job
@@ -124,14 +124,17 @@ private[repro] final class StateTask[U](f: PartitionState => U)
   * input partition i, built with seed `seed ^ i`. A `StatePartition` carries
   * its index and a broadcast of its input partition, never rows, so a task
   * stays small and a lost or evicted state is rebuilt from the broadcast,
-  * which lives until `release`. The strategy is a field, so it travels in
-  * each job's task binary.
+  * which lives until `release`. The parent broadcasts are made concurrently:
+  * each one serializes and compresses its partition's rows on the driver.
+  * The strategy is a field, so it travels in each job's task binary.
   */
 private[repro] final class StateRDD(input: RDD[Array[Double]], strategy: Strategy, k: Int, seed: Long)
     extends RDD[PartitionState](input) {
 
-  @transient private val parents: Array[Broadcast[Partition]] =
-    input.partitions.map(sparkContext.broadcast[Partition](_))
+  @transient private val parents: Array[Broadcast[Partition]] = {
+    val ps = input.partitions
+    Blocks.map(ps.length, ps.length)((i, _) => sparkContext.broadcast[Partition](ps(i)))
+  }
 
   protected def getPartitions: Array[Partition] =
     Array.tabulate(parents.length)(i => new StatePartition(i, parents(i)))

@@ -255,6 +255,25 @@ class CentroidInfoSpec extends AnyFunSuite {
     }
   }
 
+  // Spark deserializes a step's info once per task; the tasks of one JVM
+  // must share the copy, and so its derived rows, for as long as one runs.
+  test("copies of one info deserialized in one JVM are one object, held only while in use") {
+    val a = info2(20, 309L)
+    val b = info2(20, 310L)
+    def copy(i: CentroidInfo): AnyRef = javaRoundTrip(i)._2
+    val a1 = copy(a)
+    assert(!(a1 eq a) && (copy(a) eq a1))
+    val b1 = copy(b)
+    assert(!(b1 eq a1) && (copy(b) eq b1))
+    assert(!(copy(a) eq a1), "an info deserialized after another replaces it")
+    // The JVM keeps no copy alive once no task holds one.
+    def weakCopy(i: CentroidInfo) = new java.lang.ref.WeakReference(copy(i))
+    val w = weakCopy(b)
+    var tries = 0
+    while (w.get != null && tries < 50) { System.gc(); Thread.sleep(10); tries += 1 }
+    assert(w.get == null, "the last deserialized info outlived its users")
+  }
+
   test("an info at k = 1000, d = 57 serializes to under 1 MB with every derived field read") {
     val prevC = TestData.mixture(1000, 57, 20, 0.05, 308L)
     val gi = new Grouper(1L).update(prevC, 1, regroup = false)

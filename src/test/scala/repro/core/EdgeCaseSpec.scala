@@ -1,13 +1,15 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 import repro.index.{BallKMeansStrategy, BallTree, KdKMeans, KdTree}
+import repro.spark.SparkKMeans
 import repro.unik.{UniKMode, UniKStrategy}
 
 /** Degenerate inputs every kernel must survive: k=1, k close to n,
-  * duplicate points (empty clusters), and early convergence.
+  * duplicate points (empty clusters), and early convergence; and bad
+  * arguments every fit must reject, locally and on Spark.
   */
-class EdgeCaseSpec extends AnyFunSuite {
+class EdgeCaseSpec extends SparkSpec {
 
   private val strategies: Seq[Strategy] =
     Strategies.sequential ++ Seq(Strategies.index, KdKMeans, Strategies.full,
@@ -146,6 +148,70 @@ class EdgeCaseSpec extends AnyFunSuite {
     for (s <- LloydKernel +: strategies) {
       val e = intercept[IllegalArgumentException](Runner.fitLocal(s, pts, 0, Array.empty[Array[Double]]))
       assert(e.getMessage.endsWith("k is 0, expected at least 1"), s.name)
+    }
+  }
+
+  /** The causes of `e`, outermost first, one per line. */
+  private def causes(e: Throwable): String =
+    Iterator.iterate(e)(_.getCause).takeWhile(_ != null).map(_.toString).mkString("\n")
+
+  // A fit that never steps has no assignment to sum an SSE over; it fails
+  // before any state is built or, on Spark, any broadcast or job is made.
+  test("every strategy rejects maxIters < 1, locally and on Spark, before it builds a state") {
+    val pts = TestData.mixture(40, 3, 4, 0.05, 12L)
+    val init = Init.kmeansPlusPlus(pts, 3, 13L)
+    val sc = spark.sparkContext
+    val rdd = sc.parallelize(pts.toSeq, 2)
+    def nextId(): Long = { val b = sc.broadcast(0); try b.id finally b.destroy() }
+    for (s <- LloydKernel +: strategies; maxIters <- Seq(0, -1)) {
+      val msg = s"maxIters is $maxIters, expected at least 1"
+      val local = intercept[IllegalArgumentException](Runner.fitLocal(s, pts, 3, init, maxIters))
+      assert(local.getMessage.endsWith(msg), s.name)
+      val before = nextId()
+      val dist = intercept[IllegalArgumentException](
+        SparkKMeans.fit(spark, rdd, s, 3, init, maxIters, numPartitions = 2))
+      assert(dist.getMessage.endsWith(msg), s.name)
+      assert(nextId() == before + 1, s"${s.name}: the rejected fit made a broadcast")
+    }
+  }
+
+  // With every |coordinate| ≤ M, a squared distance is at most 4·d·M²; past
+  // Double.MaxValue it would be +Inf, and no centroid is nearer than +Inf.
+  test("every strategy rejects coordinates whose squared distances overflow, locally and on Spark") {
+    val d = 16
+    val base = TestData.uniform(200, d, 21L)
+    val baseInit = Init.kmeansPlusPlus(base, 5, 22L)
+    def scaled(a: Array[Array[Double]], by: Double) = a.map(_.map(_ * by))
+    val (pts, init) = (scaled(base, 1e150), scaled(baseInit, 1e150))
+    val (far, farInit) = (scaled(base, 1e155), scaled(baseInit, 1e155))
+    val oneFar = pts.updated(7, far(7))
+    val lloyd = Runner.fitLocal(LloydKernel, pts, 5, init, maxIters = 6)
+    assert(lloyd.iterations >= 2 && lloyd.sse > 0 && !lloyd.sse.isInfinite)
+    def assertLikeLloyd(res: FitResult, what: String): Unit = {
+      assert(res.movedPerIter.toSeq == lloyd.movedPerIter.toSeq, what)
+      for ((a, b) <- res.centroids.zip(lloyd.centroids); z <- a.indices)
+        assert(math.abs(a(z) - b(z)) <= 1e-9 * 1e150, s"$what: centroid ${a.toSeq} vs ${b.toSeq}")
+    }
+    val sc = spark.sparkContext
+    for (s <- LloydKernel +: strategies) {
+      for ((p, i) <- Seq((far, 0), (oneFar, 7))) {
+        val e = intercept[IllegalArgumentException](Runner.fitLocal(s, p, 5, init, maxIters = 6))
+        assert(e.getMessage.startsWith(s"point $i has a coordinate ") &&
+          e.getMessage.endsWith("where squared distances overflow"), s"${s.name}: ${e.getMessage}")
+        val chain = causes(intercept[Exception](
+          SparkKMeans.fit(spark, sc.parallelize(p.toSeq, 2), s, 5, init, maxIters = 6, numPartitions = 2)))
+        assert(chain.contains(s"IllegalArgumentException: point $i has a coordinate "), s"${s.name}: $chain")
+      }
+      for (bad <- Seq(farInit, init.updated(3, farInit(3)))) {
+        val j = if (bad eq farInit) 0 else 3
+        val e = intercept[IllegalArgumentException](Runner.fitLocal(s, pts, 5, bad, maxIters = 6))
+        assert(e.getMessage.startsWith(s"init centroid $j has a coordinate "), s"${s.name}: ${e.getMessage}")
+        intercept[IllegalArgumentException](
+          SparkKMeans.fit(spark, sc.parallelize(pts.toSeq, 2), s, 5, bad, maxIters = 6, numPartitions = 2))
+      }
+      assertLikeLloyd(Runner.fitLocal(s, pts, 5, init, maxIters = 6), s"${s.name} local")
+      assertLikeLloyd(SparkKMeans.fit(spark, sc.parallelize(pts.toSeq, 2), s, 5, init, maxIters = 6,
+        numPartitions = 2), s"${s.name} on Spark")
     }
   }
 

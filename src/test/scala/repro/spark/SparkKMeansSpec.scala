@@ -5,7 +5,7 @@ import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicInteger
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.{ListenerBusDrain, LiveBroadcasts, ShuffleStage}
+import org.apache.spark.{ListenerBusDrain, LiveBroadcasts, ShuffleStage, SparkEnv}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.storage.StorageLevel
 import org.scalatest.concurrent.Eventually._
@@ -234,9 +234,8 @@ class SparkKMeansSpec extends SparkSpec {
     val parts = 3
     val states = SparkKMeans.cachedStates(sc.parallelize(pts.toSeq, parts), YinyangKernel, k, 17L)
     val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false))
-    val b = sc.broadcast(info)
     try {
-      def step(): Array[Partials] = sc.runJob(states, SparkKMeans.stepTask(b), states.partitions.indices)
+      def step(): Array[Partials] = sc.runJob(states, SparkKMeans.stepTask(info), states.partitions.indices)
       val fresh = (0 until parts).map { i =>
         val slice = pts.slice(i * pts.length / parts, (i + 1) * pts.length / parts)
         YinyangKernel.newState(slice, k, 17L ^ i).step(info)
@@ -248,10 +247,7 @@ class SparkKMeansSpec extends SparkSpec {
       states.persist(StorageLevel.MEMORY_ONLY)
       for ((a, i) <- step().zipWithIndex)
         assert(SparkKMeansSpec.sameBits(a, fresh(i)), s"rebuilt partition $i")
-    } finally {
-      b.destroy()
-      states.release()
-    }
+    } finally states.release()
   }
 
   // One job builds the states, one per iteration steps them, one sums the SSE.
@@ -278,20 +274,63 @@ class SparkKMeansSpec extends SparkSpec {
 
   test("the step task survives Java serialization and gives the same Partials bits") {
     val info = CentroidInfo.compute(1, init, null, new Grouper(5L).update(init, 1, regroup = false))
-    val b = spark.sparkContext.broadcast(info)
+    val task = SparkKMeans.stepTask(info)
+    val bytes = new ByteArrayOutputStream
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(task)
+    out.close()
+    val copy = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[StateTask[Partials]]
+    def stepFresh(t: StateTask[Partials]) = t(null, Iterator.single(YinyangKernel.newState(pts, k, 17L)))
+    val want = stepFresh(task)
+    assert(want.n == pts.length && want.metrics.dist > 0)
+    assert(SparkKMeansSpec.sameBits(stepFresh(copy), want))
+  }
+
+  // Only the parents are broadcasts of the fit's own; each job's function,
+  // the step's info and the final centroids with it, is in Spark's task
+  // binary, one broadcast per job.
+  test("a fit over P partitions makes P + t + 2 broadcasts: its parents and one task binary per job") {
+    val sc = spark.sparkContext
+    def nextId(): Long = { val b = sc.broadcast(0); try b.id finally b.destroy() }
+    for (parts <- Seq(1, 4); s <- Seq(LloydKernel, YinyangKernel)) {
+      val rdd = sc.parallelize(pts.toSeq, parts)
+      val before = nextId()
+      val res = SparkKMeans.fit(spark, rdd, s, k, init, maxIters = 8, numPartitions = parts)
+      val made = nextId() - before - 1
+      assert(res.iterations >= 2 && made == parts + res.iterations + 2, s"${s.name} over $parts: $made broadcasts")
+    }
+  }
+
+  // Spark deserializes a job's function once per task; the derived rows of
+  // an info are built once per JVM only if every task reads one copy.
+  test("in each step job every partition's state reads the same CentroidInfo instance") {
+    val seen = SparkKMeansSpec.InfoProbe.seen
+    seen.clear()
+    val parts = 4
+    val res = sparkFit(SparkKMeansSpec.InfoProbe, parts)
+    val byIter = seen.asScala.toSeq.groupBy(_.iter)
+    assert(byIter.keySet == (1 to res.iterations).toSet)
+    for ((iter, infos) <- byIter) {
+      assert(infos.length == parts, s"iteration $iter")
+      assert(infos.forall(_ eq infos.head), s"iteration $iter: the tasks read ${infos.distinct.length} copies")
+    }
+    assert(byIter.values.map(_.head).toSeq.distinct.length == res.iterations)
+    seen.clear()
+  }
+
+  // Spark warns of a task binary over 1000 KiB; at k = 1000 the centroids
+  // alone are 456 KB.
+  test("a step task at k = 1000, d = 57 serializes to under 1000 KiB with its RDD") {
+    val cs = TestData.mixture(1000, 57, 20, 0.05, 86L)
+    val prev = cs.map(_.map(_ - 0.001))
+    val info = CentroidInfo.compute(2, cs, prev, new Grouper(5L).update(prev, 1, regroup = false))
+    val input = spark.sparkContext.parallelize(TestData.mixture(40, 57, 4, 0.05, 87L).toSeq, 4)
+    val states = SparkKMeans.cachedStates(input, YinyangKernel, 1000, 17L)
     try {
-      val task = SparkKMeans.stepTask(b)
-      val bytes = new ByteArrayOutputStream
-      val out = new ObjectOutputStream(bytes)
-      out.writeObject(task)
-      out.close()
-      val copy = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
-        .readObject().asInstanceOf[StateTask[Partials]]
-      def stepFresh(t: StateTask[Partials]) = t(null, Iterator.single(YinyangKernel.newState(pts, k, 17L)))
-      val want = stepFresh(task)
-      assert(want.n == pts.length && want.metrics.dist > 0)
-      assert(SparkKMeansSpec.sameBits(stepFresh(copy), want))
-    } finally b.destroy()
+      val size = SparkEnv.get.closureSerializer.newInstance().serialize((states, SparkKMeans.stepTask(info))).limit()
+      assert(size > 8 * 1000 * 57 && size < 1000 * 1024, s"$size bytes")
+    } finally states.release()
   }
 
   // A cached block's read lock is released when its iterator reports its end.
@@ -358,6 +397,21 @@ object SparkKMeansSpec {
 
   object SseOrderProbe {
     def sseOf(pid: Int): Double = if (pid == 0) 1e16 else 1.0
+  }
+
+  /** Lloyd whose states record every `CentroidInfo` they step under. */
+  object InfoProbe extends Strategy {
+    val name = "InfoProbe"
+    val seen = new ConcurrentLinkedQueue[CentroidInfo]
+
+    def newState(points: Array[Array[Double]], k: Int, seed: Long): PartitionState = {
+      val lloyd = LloydKernel.newState(points, k, seed)
+      new PartitionState {
+        def step(info: CentroidInfo): Partials = { seen.add(info); lloyd.step(info) }
+        def finalSse(centroids: Array[Array[Double]]): Double = lloyd.finalSse(centroids)
+        def assignments: Array[Int] = lloyd.assignments
+      }
+    }
   }
 
   /** Lloyd whose step fails from iteration 3 on. */
